@@ -124,7 +124,9 @@ class Communicator {
     QGEAR_CHECK_FORMAT(raw.size() % sizeof(T) == 0,
                        "comm: message size not a multiple of element size");
     std::vector<T> out(raw.size() / sizeof(T));
-    std::memcpy(out.data(), raw.data(), raw.size());
+    // memcpy's pointers must be non-null even for zero bytes, and an
+    // empty payload (a rank that drew no shots) has none.
+    if (!raw.empty()) std::memcpy(out.data(), raw.data(), raw.size());
     return out;
   }
 
@@ -137,7 +139,7 @@ class Communicator {
     QGEAR_CHECK_FORMAT(raw.size() % sizeof(T) == 0,
                        "comm: message size not a multiple of element size");
     std::vector<T> out(raw.size() / sizeof(T));
-    std::memcpy(out.data(), raw.data(), raw.size());
+    if (!raw.empty()) std::memcpy(out.data(), raw.data(), raw.size());
     return out;
   }
 

@@ -92,10 +92,11 @@ struct RunResult {
 };
 
 /// Distributed multinomial sampling: rank weights are the local norm of
-/// each slab; the root partitions the shot budget across ranks by their
-/// weight, each rank samples its local alias table, and results merge at
-/// the root keyed by the *logical* basis index bits of the measured
-/// qubits (resolved through the state's qubit map after remapped runs).
+/// each slab; the root splits the shot budget across ranks by their
+/// weight (sim::split_shots), each rank streams its slab through
+/// sim::sample_amplitudes on its own pool, and results merge at the root
+/// keyed by the *logical* basis index bits of the measured qubits
+/// (resolved through the state's qubit map after remapped runs).
 template <typename T>
 sim::Counts sample_distributed(DistStateVector<T>& state,
                                comm::Communicator& comm,
@@ -139,10 +140,7 @@ sim::Counts sample_distributed(DistStateVector<T>& state,
       weights[src] = comm.recv_vec<double>(src, kWeightTag).at(0);
     }
     Rng rng(seed);
-    const sim::AliasSampler rank_sampler(weights);
-    for (std::uint64_t s = 0; s < shots; ++s) {
-      ++budget[rank_sampler.sample(rng)];
-    }
+    budget = sim::split_shots(weights, shots, rng);
     for (int dst = 1; dst < size; ++dst) {
       const std::vector<std::uint64_t> one = {budget[dst]};
       comm.send_vec<std::uint64_t>(dst, kBudgetTag, one);
@@ -156,30 +154,16 @@ sim::Counts sample_distributed(DistStateVector<T>& state,
   // Sample locally; keys are packed from the *full* index (local bits plus
   // this rank's global bits), reading each measured logical qubit at its
   // current physical position.
-  const std::uint64_t my_shots = budget[rank];
-  sim::Counts local_counts;
-  if (my_shots > 0) {
-    std::vector<double> probs(state.local_size());
-    for (std::uint64_t i = 0; i < probs.size(); ++i) {
-      probs[i] = std::norm(state.local_amps()[i]);
-    }
-    const sim::AliasSampler sampler(probs);
-    Rng rng(seed ^ (0x9E3779B97F4A7C15ull * (rank + 1)));
-    const std::uint64_t rank_bits = static_cast<std::uint64_t>(rank)
-                                    << state.local_qubits();
-    std::vector<unsigned> positions(measured.size());
-    for (std::size_t j = 0; j < measured.size(); ++j) {
-      positions[j] = state.physical_qubit(measured[j]);
-    }
-    for (std::uint64_t s = 0; s < my_shots; ++s) {
-      const std::uint64_t full = rank_bits | sampler.sample(rng);
-      std::uint64_t key = 0;
-      for (std::size_t j = 0; j < positions.size(); ++j) {
-        key |= ((full >> positions[j]) & 1u) << j;
-      }
-      ++local_counts[key];
-    }
+  Rng rng(seed ^ (0x9E3779B97F4A7C15ull * (rank + 1)));
+  const std::vector<sim::IndexCount> runs = sim::sample_amplitudes<T>(
+      state.local_amps(), budget[rank], rng, state.pool());
+  std::vector<unsigned> positions(measured.size());
+  for (std::size_t j = 0; j < measured.size(); ++j) {
+    positions[j] = state.physical_qubit(measured[j]);
   }
+  sim::Counts local_counts;
+  sim::add_counts(local_counts, runs, positions,
+                  static_cast<std::uint64_t>(rank) << state.local_qubits());
 
   // Merge at root as (key, count) pairs.
   if (rank == 0) {

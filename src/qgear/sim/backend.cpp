@@ -41,7 +41,7 @@ class StateVectorBackend : public Backend {
   Counts sample(const std::vector<unsigned>& measured_qubits,
                 std::uint64_t shots, Rng& rng) override {
     require_state();
-    return sample_counts(*state_, measured_qubits, shots, rng);
+    return sample_counts(*state_, measured_qubits, shots, rng, engine_.pool());
   }
   double expectation(const PauliTerm& term) override {
     require_state();

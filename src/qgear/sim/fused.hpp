@@ -134,6 +134,7 @@ class FusedEngine {
 
   const EngineStats& stats() const { return stats_; }
   void reset_stats() { stats_.reset(); }
+  ThreadPool* pool() const { return opts_.pool; }
 
  private:
   Options opts_;

@@ -452,21 +452,9 @@ Counts MpsEngine::sample(const std::vector<unsigned>& measured_qubits,
 
   Counts counts;
   if (num_qubits_ <= 20) {
-    // Dense path: alias sampling is O(1) per shot after one 2^n pass.
-    const std::vector<cd> amps = to_statevector();
-    std::vector<double> weights(amps.size());
-    for (std::size_t i = 0; i < amps.size(); ++i) {
-      weights[i] = std::norm(amps[i]);
-    }
-    const AliasSampler sampler(weights);
-    for (std::uint64_t shot = 0; shot < shots; ++shot) {
-      const std::uint64_t idx = sampler.sample(rng);
-      std::uint64_t key = 0;
-      for (std::size_t j = 0; j < mq.size(); ++j) {
-        key |= ((idx >> mq[j]) & 1) << j;
-      }
-      ++counts[key];
-    }
+    // Dense path: one 2^n contraction, then the shared streaming sampler.
+    add_counts(counts, sample_amplitudes<double>(to_statevector(), shots, rng),
+               mq);
     return counts;
   }
 

@@ -53,8 +53,8 @@ class MpsEngine {
 
   /// Samples `shots` outcomes of `measured_qubits` (empty = all qubits,
   /// strictly ascending). Small registers (n <= 20) materialize the
-  /// statevector and alias-sample; larger ones use perfect MPS sampling
-  /// at O(n * chi^2) per shot.
+  /// statevector and stream it through sample_amplitudes; larger ones use
+  /// perfect MPS sampling at O(n * chi^2) per shot.
   Counts sample(const std::vector<unsigned>& measured_qubits,
                 std::uint64_t shots, Rng& rng);
 

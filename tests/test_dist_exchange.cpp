@@ -3,6 +3,7 @@
 // auto-sizing, and overlap correctness under injected comm faults.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <complex>
 #include <mutex>
 #include <random>
@@ -212,7 +213,7 @@ TEST(DistExchange, OverlapRunsInExchangeTail) {
   // The overlap hook must run while the exchange drains and never after
   // completion; the state must still be exact.
   const std::vector<SlabSwap> swaps = {{0, 5}, {1, 6}};
-  int overlap_calls = 0;
+  std::atomic<int> overlap_calls{0};  // every rank's hook bumps it
   const std::vector<amp_t> before =
       run_exchange(8, 7, 5, [](DistStateVector<double>&) {});
   const std::vector<amp_t> after =
@@ -229,7 +230,7 @@ TEST(DistExchange, OverlapRunsInExchangeTail) {
   }
   // The hook may or may not fire (delivery can outrun the drain loop),
   // but a fired hook respects its own budget.
-  EXPECT_LE(overlap_calls, 8 * 3);
+  EXPECT_LE(overlap_calls.load(), 8 * 3);
 }
 
 TEST(DistExchange, ResilientBatchSurvivesDropAndDelayFaults) {
