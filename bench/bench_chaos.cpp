@@ -8,7 +8,7 @@
 //   serve-chaos     — worker faults + synthetic OOM at the configured
 //                     rates; retries, degradation, and checkpoints must
 //                     carry completion above the SLO floor
-//   comm-chaos      — two-rank resilient chunked exchange under dropped
+//   comm-chaos      — two-rank resilient BatchExchange under dropped
 //                     chunks; every element must land intact
 //
 // Contract (enforced by the exit code, asserted by CI's chaos-smoke job):
@@ -196,18 +196,29 @@ CommOutcome run_comm_chaos(std::uint64_t elements) {
       res.timeout_s = 0.05;
       res.max_resends = 100;
       const int peer = 1 - c.rank();
-      c.sendrecv_chunked<double>(
-          peer, 11, mine, /*chunk_elems=*/512,
-          [&](std::uint64_t off, std::span<const double> chunk) {
-            for (std::uint64_t i = 0; i < chunk.size(); ++i) {
-              const double expect =
-                  static_cast<double>(peer * 1000000 + off + i) * 0.5;
-              if (chunk[i] != expect) {
-                mismatches.fetch_add(1, std::memory_order_relaxed);
-              }
-            }
-          },
-          res);
+      const std::span<const std::uint8_t> bytes(
+          reinterpret_cast<const std::uint8_t*>(mine.data()),
+          mine.size() * sizeof(double));
+      comm::BatchExchange ex(c, 11,
+                             {{.peer = peer,
+                               .send = bytes,
+                               .recv_bytes = bytes.size(),
+                               .chunk_bytes = 512 * sizeof(double)}},
+                             res);
+      ex.post();
+      ex.finish([&](std::size_t, std::uint64_t off_bytes,
+                    std::span<const std::uint8_t> payload) {
+        std::vector<double> chunk(payload.size() / sizeof(double));
+        std::memcpy(chunk.data(), payload.data(), payload.size());
+        const std::uint64_t off = off_bytes / sizeof(double);
+        for (std::uint64_t i = 0; i < chunk.size(); ++i) {
+          const double expect =
+              static_cast<double>(peer * 1000000 + off + i) * 0.5;
+          if (chunk[i] != expect) {
+            mismatches.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+      });
     });
   } catch (const std::exception& e) {
     ++out.crashes;

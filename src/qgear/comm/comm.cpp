@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <limits>
 #include <numeric>
 #include <string>
@@ -64,19 +63,11 @@ obs::Counter& chunk_timeouts_counter() {
 // Resilient-exchange control plane. Control messages ride a tag derived
 // from the data tag: negative, below the broadcast tag (-42), so they
 // never collide with op tags [0, 2^28), sampler tags (>= 2^28), or
-// broadcasts. Layout: [u8 opcode][u64 offset].
-constexpr std::uint8_t kCtrlResend = 1;
-constexpr std::uint8_t kCtrlDone = 2;
+// broadcasts. They carry no payload: the envelope offset names the chunk
+// to re-send, or is kDone once the sender holds every chunk.
+constexpr std::uint64_t kDone = ~std::uint64_t{0};
 
 int ctrl_tag_for(int tag) { return -tag - 100; }
-
-std::vector<std::uint8_t> encode_ctrl(std::uint8_t opcode,
-                                      std::uint64_t offset) {
-  std::vector<std::uint8_t> msg(1 + sizeof(offset));
-  msg[0] = opcode;
-  std::memcpy(msg.data() + 1, &offset, sizeof(offset));
-  return msg;
-}
 
 /// Microsecond stopwatch for wait-time histograms.
 class WaitTimer {
@@ -101,8 +92,8 @@ const char* tier_name(Tier t) {
 }
 
 std::uint64_t auto_chunk_bytes(std::uint64_t message_bytes, Tier tier) {
-  // Below this, framing and per-chunk mailbox traffic cost more than any
-  // pipelining buys back.
+  // Below this, per-chunk mailbox traffic costs more than any pipelining
+  // buys back.
   constexpr std::uint64_t kOneShotLimit = 64ull << 10;
   if (message_bytes <= kOneShotLimit) return 0;
   if (tier == Tier::nvlink) {
@@ -125,9 +116,14 @@ const Topology& Communicator::topology() const { return world_->topology(); }
 
 void Communicator::send(int dest, int tag,
                         std::span<const std::uint8_t> data) {
+  send_at(dest, tag, 0, data);
+}
+
+void Communicator::send_at(int dest, int tag, std::uint64_t offset,
+                           std::span<const std::uint8_t> data) {
   QGEAR_CHECK_ARG(dest >= 0 && dest < size(), "comm: destination out of range");
   QGEAR_CHECK_ARG(dest != rank_, "comm: self-send is not supported");
-  world_->deliver(rank_, dest, tag, data);
+  world_->deliver(rank_, dest, tag, offset, data);
   bytes_sent_ += data.size();
   messages_counter().add();
   bytes_counter().add(data.size());
@@ -150,139 +146,10 @@ bool Communicator::try_recv(int src, int tag,
                             std::vector<std::uint8_t>& out) {
   QGEAR_CHECK_ARG(src >= 0 && src < size(), "comm: source out of range");
   QGEAR_CHECK_ARG(src != rank_, "comm: self-receive is not supported");
-  return world_->try_take(src, rank_, tag, out);
-}
-
-void Communicator::send_chunk_framed(int peer, int tag, std::uint64_t offset,
-                                     std::span<const std::uint8_t> payload) {
-  fault::maybe_delay(fault::Site::comm_delay);
-  if (fault::should_inject(fault::Site::comm_drop)) {
-    // Model a lost packet: the message is never delivered. The peer's
-    // receive timeout + re-send request recovers it.
-    chunks_dropped_counter().add();
-    return;
-  }
-  std::vector<std::uint8_t> msg(sizeof(offset) + payload.size());
-  std::memcpy(msg.data(), &offset, sizeof(offset));
-  std::memcpy(msg.data() + sizeof(offset), payload.data(), payload.size());
-  send(peer, tag, msg);
-}
-
-void Communicator::sendrecv_chunked_resilient(
-    int peer, int tag, std::span<const std::uint8_t> data,
-    std::uint64_t chunk_bytes, const ResilienceOptions& resilience,
-    const std::function<void(std::uint64_t, std::span<const std::uint8_t>)>&
-        consume) {
-  QGEAR_CHECK_ARG(peer >= 0 && peer < size() && peer != rank_,
-                  "comm: resilient exchange peer out of range");
-  QGEAR_CHECK_ARG(tag >= 0 && tag < std::numeric_limits<int>::max() - 100,
-                  "comm: resilient exchange needs a non-negative tag");
-  const std::uint64_t n = data.size();
-  if (chunk_bytes == 0 || chunk_bytes > n) chunk_bytes = n;
-  const std::uint64_t num_chunks =
-      (n == 0) ? 0 : (n + chunk_bytes - 1) / chunk_bytes;
-  const int ctrl = ctrl_tag_for(tag);
-  const auto timeout = std::chrono::duration_cast<
-      std::chrono::steady_clock::duration>(
-      std::chrono::duration<double>(resilience.timeout_s));
-
-  auto chunk_at = [&](std::uint64_t idx) {
-    const std::uint64_t off = idx * chunk_bytes;
-    return data.subspan(off, std::min(chunk_bytes, n - off));
-  };
-  for (std::uint64_t idx = 0; idx < num_chunks; ++idx) {
-    send_chunk_framed(peer, tag, idx * chunk_bytes, chunk_at(idx));
-  }
-
-  std::vector<bool> have(num_chunks, false);
-  std::uint64_t have_count = 0;
-  std::vector<unsigned> resends(num_chunks, 0);
-  bool sent_done = false;
-  bool peer_done = false;
-  unsigned idle_timeouts = 0;
-  auto deadline = std::chrono::steady_clock::now() + timeout;
-
-  while (have_count < num_chunks || !peer_done) {
-    if (have_count == num_chunks && !sent_done) {
-      send(peer, ctrl, encode_ctrl(kCtrlDone, 0));
-      sent_done = true;
-    }
-    std::vector<std::uint8_t> msg;
-    int got_tag = 0;
-    if (!world_->take_any_until(peer, rank_, tag, ctrl, deadline, msg,
-                                &got_tag)) {
-      chunk_timeouts_counter().add();
-      if (have_count == num_chunks) {
-        // Everything here; just waiting for the peer's DONE. The peer is
-        // either still computing or still recovering chunks from us (its
-        // re-send requests land on the ctrl tag and reset this counter).
-        if (++idle_timeouts > resilience.max_resends) {
-          throw CommError("comm: timed out waiting for peer " +
-                          std::to_string(peer) +
-                          " to finish resilient exchange");
-        }
-        deadline = std::chrono::steady_clock::now() + timeout;
-        continue;
-      }
-      // Ask the peer to re-send every chunk still missing.
-      for (std::uint64_t idx = 0; idx < num_chunks; ++idx) {
-        if (have[idx]) continue;
-        if (resends[idx] >= resilience.max_resends) {
-          throw CommError(
-              "comm: chunk at offset " + std::to_string(idx * chunk_bytes) +
-              " from rank " + std::to_string(peer) + " lost after " +
-              std::to_string(resilience.max_resends) + " re-send requests");
-        }
-        ++resends[idx];
-        resend_requests_counter().add();
-        send(peer, ctrl, encode_ctrl(kCtrlResend, idx * chunk_bytes));
-      }
-      deadline = std::chrono::steady_clock::now() + timeout;
-      continue;
-    }
-    idle_timeouts = 0;
-    deadline = std::chrono::steady_clock::now() + timeout;
-    if (got_tag == tag) {
-      QGEAR_CHECK_FORMAT(msg.size() >= sizeof(std::uint64_t),
-                         "comm: resilient chunk shorter than its frame");
-      std::uint64_t offset = 0;
-      std::memcpy(&offset, msg.data(), sizeof(offset));
-      QGEAR_CHECK_FORMAT(offset < n && offset % chunk_bytes == 0,
-                         "comm: resilient chunk offset out of range");
-      const std::uint64_t idx = offset / chunk_bytes;
-      const std::uint64_t expect = std::min(chunk_bytes, n - offset);
-      QGEAR_CHECK_FORMAT(msg.size() - sizeof(offset) == expect,
-                         "comm: resilient chunk size mismatch");
-      if (have[idx]) continue;  // duplicate from a crossed re-send
-      have[idx] = true;
-      ++have_count;
-      consume(offset,
-              {msg.data() + sizeof(offset), msg.size() - sizeof(offset)});
-    } else {
-      QGEAR_CHECK_FORMAT(msg.size() == 1 + sizeof(std::uint64_t),
-                         "comm: malformed resilient control message");
-      std::uint64_t offset = 0;
-      std::memcpy(&offset, msg.data() + 1, sizeof(offset));
-      switch (msg[0]) {
-        case kCtrlDone:
-          peer_done = true;
-          break;
-        case kCtrlResend: {
-          QGEAR_CHECK_FORMAT(offset < n && offset % chunk_bytes == 0,
-                             "comm: re-send request offset out of range");
-          chunks_resent_counter().add();
-          send_chunk_framed(peer, tag, offset, chunk_at(offset / chunk_bytes));
-          break;
-        }
-        default:
-          throw FormatError("comm: unknown resilient control opcode");
-      }
-    }
-  }
-  // The loop exits without announcing completion when the peer's DONE
-  // arrived before our own last chunk did: the final receive satisfies
-  // both exit conditions at once. The peer is still waiting for our DONE.
-  if (!sent_done) send(peer, ctrl, encode_ctrl(kCtrlDone, 0));
+  World::Message msg;
+  if (!world_->try_take(src, rank_, tag, msg)) return false;
+  out = std::move(msg.data);
+  return true;
 }
 
 void Communicator::barrier() {
@@ -402,16 +269,17 @@ void BatchExchange::send_chunk(std::size_t r, std::uint64_t offset) {
   const ExchangeRound& round = rounds_[r];
   const std::uint64_t len =
       std::min<std::uint64_t>(st_[r].chunk_bytes, round.send.size() - offset);
-  const std::span<const std::uint8_t> payload = round.send.subspan(offset, len);
-  if (resilient_) {
-    comm_.send_chunk_framed(round.peer, tag_, offset, payload);
-  } else {
-    // Unframed: per-pair FIFO delivery keeps chunks in order on the
-    // lossless path, so the receiver tracks the offset itself and the
-    // wire carries payload bytes only (the trace stays frame-free).
-    comm_.send(round.peer, tag_, payload);
-  }
   tier_bytes_[static_cast<std::size_t>(round_tier(r))] += len;
+  if (resilient_) {
+    fault::maybe_delay(fault::Site::comm_delay);
+    if (fault::should_inject(fault::Site::comm_drop)) {
+      // Model a lost packet: the message is never delivered. The peer's
+      // receive timeout + re-send request recovers it.
+      chunks_dropped_counter().add();
+      return;
+    }
+  }
+  comm_.send_at(round.peer, tag_, offset, round.send.subspan(offset, len));
 }
 
 void BatchExchange::post() {
@@ -425,66 +293,44 @@ void BatchExchange::post() {
   }
 }
 
-bool BatchExchange::process(std::size_t r, int got_tag,
-                            std::vector<std::uint8_t>& msg,
+bool BatchExchange::process(std::size_t r, int got_tag, std::uint64_t offset,
+                            std::span<const std::uint8_t> data,
                             const ConsumeFn& consume) {
   RoundState& st = st_[r];
   const ExchangeRound& round = rounds_[r];
   if (got_tag == tag_) {
-    std::uint64_t offset = 0;
-    std::size_t header = 0;
-    if (resilient_) {
-      QGEAR_CHECK_FORMAT(msg.size() >= sizeof(std::uint64_t),
-                         "comm: exchange chunk shorter than its frame");
-      std::memcpy(&offset, msg.data(), sizeof(offset));
-      header = sizeof(offset);
-    } else {
-      // Unframed chunks arrive in per-pair FIFO order; the cursor is the
-      // offset.
-      offset = st.next_offset;
-    }
     QGEAR_CHECK_FORMAT(
         offset < round.recv_bytes && offset % st.chunk_bytes == 0,
         "comm: exchange chunk offset out of range");
     const std::uint64_t idx = offset / st.chunk_bytes;
-    const std::uint64_t expect =
-        std::min<std::uint64_t>(st.chunk_bytes, round.recv_bytes - offset);
-    QGEAR_CHECK_FORMAT(msg.size() - header == expect,
-                       "comm: exchange chunk size mismatch");
+    QGEAR_CHECK_FORMAT(
+        data.size() ==
+            std::min<std::uint64_t>(st.chunk_bytes, round.recv_bytes - offset),
+        "comm: exchange chunk size mismatch");
     if (st.have[idx]) return false;  // duplicate from a crossed re-send
     st.have[idx] = true;
     ++st.have_count;
-    if (!resilient_) st.next_offset = offset + expect;
-    consume(r, offset, {msg.data() + header, msg.size() - header});
+    consume(r, offset, data);
     maybe_send_done(r);
     return true;
   }
-  QGEAR_CHECK_FORMAT(msg.size() == 1 + sizeof(std::uint64_t),
-                     "comm: malformed exchange control message");
-  std::uint64_t offset = 0;
-  std::memcpy(&offset, msg.data() + 1, sizeof(offset));
-  switch (msg[0]) {
-    case kCtrlDone:
-      st.peer_done = true;
-      break;
-    case kCtrlResend: {
-      QGEAR_CHECK_FORMAT(
-          offset < round.send.size() && offset % st.chunk_bytes == 0,
-          "comm: re-send request offset out of range");
-      chunks_resent_counter().add();
-      send_chunk(r, offset);
-      break;
-    }
-    default:
-      throw FormatError("comm: unknown exchange control opcode");
+  QGEAR_CHECK_FORMAT(data.empty(), "comm: malformed exchange control message");
+  if (offset == kDone) {
+    st.peer_done = true;
+    return false;
   }
+  QGEAR_CHECK_FORMAT(
+      offset < round.send.size() && offset % st.chunk_bytes == 0,
+      "comm: re-send request offset out of range");
+  chunks_resent_counter().add();
+  send_chunk(r, offset);
   return false;
 }
 
 void BatchExchange::maybe_send_done(std::size_t r) {
   RoundState& st = st_[r];
   if (!resilient_ || st.sent_done || st.have_count < st.num_chunks) return;
-  comm_.send(peer_of_[r], ctrl_, encode_ctrl(kCtrlDone, 0));
+  comm_.send_at(peer_of_[r], ctrl_, kDone, {});
   st.sent_done = true;
 }
 
@@ -500,25 +346,25 @@ void BatchExchange::request_missing(std::size_t r) {
     }
     ++st.resends[idx];
     resend_requests_counter().add();
-    comm_.send(peer_of_[r], ctrl_, encode_ctrl(kCtrlResend,
-                                               idx * st.chunk_bytes));
+    comm_.send_at(peer_of_[r], ctrl_, idx * st.chunk_bytes, {});
   }
 }
 
 bool BatchExchange::poll(const ConsumeFn& consume) {
   QGEAR_EXPECTS(posted_);
+  World& world = *comm_.world_;
   bool consumed = false;
   bool progress = true;
   while (progress) {
     progress = false;
     for (std::size_t r = 0; r < rounds_.size(); ++r) {
-      std::vector<std::uint8_t> msg;
-      if (comm_.try_recv(peer_of_[r], tag_, msg)) {
-        consumed |= process(r, tag_, msg, consume);
+      World::Message msg;
+      if (world.try_take(peer_of_[r], comm_.rank(), tag_, msg)) {
+        consumed |= process(r, tag_, msg.offset, msg.data, consume);
         progress = true;
       }
-      if (resilient_ && comm_.try_recv(peer_of_[r], ctrl_, msg)) {
-        process(r, ctrl_, msg, consume);
+      if (resilient_ && world.try_take(peer_of_[r], comm_.rank(), ctrl_, msg)) {
+        process(r, ctrl_, msg.offset, msg.data, consume);
         progress = true;
       }
     }
@@ -529,35 +375,26 @@ bool BatchExchange::poll(const ConsumeFn& consume) {
 void BatchExchange::wait(const ConsumeFn& consume) {
   QGEAR_EXPECTS(posted_);
   if (done()) return;
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      (resilient_ ? std::chrono::duration_cast<
-                        std::chrono::steady_clock::duration>(
-                        std::chrono::duration<double>(resilience_.timeout_s))
-                  : std::chrono::steady_clock::duration(
-                        std::chrono::hours(1)));
-  std::vector<std::uint8_t> msg;
-  int got_src = 0;
-  int got_tag = 0;
+  std::optional<std::chrono::steady_clock::time_point> deadline;
+  if (resilient_) {
+    deadline = std::chrono::steady_clock::now() +
+               std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+                   std::chrono::duration<double>(resilience_.timeout_s));
+  }
+  World::Message msg;
+  std::size_t r = 0;
   if (comm_.world_->take_from_set(peer_of_, comm_.rank(), tag_, ctrl_,
-                                  deadline, msg, &got_src, &got_tag)) {
+                                  deadline, msg, &r)) {
     idle_timeouts_ = 0;
-    for (std::size_t r = 0; r < peer_of_.size(); ++r) {
-      if (peer_of_[r] == got_src) {
-        process(r, got_tag, msg, consume);
-        return;
-      }
-    }
-    throw LogicViolation("comm: exchange message from unexpected rank");
+    process(r, msg.tag, msg.offset, msg.data, consume);
+    return;
   }
+  // Only the resilient path has a deadline to miss.
   chunk_timeouts_counter().add();
-  if (!resilient_) {
-    throw CommError("comm: batch exchange stalled (no resilience enabled)");
-  }
   bool missing = false;
-  for (std::size_t r = 0; r < rounds_.size(); ++r) {
-    if (st_[r].have_count < st_[r].num_chunks) {
-      request_missing(r);
+  for (std::size_t q = 0; q < rounds_.size(); ++q) {
+    if (st_[q].have_count < st_[q].num_chunks) {
+      request_missing(q);
       missing = true;
     }
   }
@@ -596,22 +433,28 @@ void World::run(const std::function<void(Communicator&)>& fn) {
   std::vector<std::thread> threads;
   threads.reserve(size_);
   std::vector<std::exception_ptr> errors(size_);
+  // The first rank to fail holds the root cause: peers blocked on it fail
+  // afterwards, with a CommError naming it. Recorded before
+  // inject_failure releases those peers.
+  int first_failed = -1;
   for (int r = 0; r < size_; ++r) {
-    threads.emplace_back([this, r, &fn, &errors] {
+    threads.emplace_back([this, r, &fn, &errors, &first_failed] {
       Communicator c(this, r);
       try {
         fn(c);
       } catch (...) {
         errors[r] = std::current_exception();
+        {
+          std::lock_guard<std::mutex> lock(mutex_);
+          if (first_failed < 0) first_failed = r;
+        }
         // Unblock peers that might be waiting on this rank forever.
         inject_failure(r);
       }
     });
   }
   for (auto& t : threads) t.join();
-  for (auto& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
+  if (first_failed >= 0) std::rethrow_exception(errors[first_failed]);
 }
 
 void World::execute(int size, const std::function<void(Communicator&)>& fn) {
@@ -639,13 +482,13 @@ void World::clear_trace() {
   trace_.total_bytes = 0;
 }
 
-void World::deliver(int src, int dst, int tag,
+void World::deliver(int src, int dst, int tag, std::uint64_t offset,
                     std::span<const std::uint8_t> data) {
   std::lock_guard<std::mutex> lock(mutex_);
   check_alive(src);
   check_alive(dst);
   Mailbox& box = mailbox(src, dst);
-  box.queue.push_back({tag, {data.begin(), data.end()}});
+  box.queue.push_back({tag, offset, {data.begin(), data.end()}});
   trace_.record(src, dst, data.size(), tag);
   cv_.notify_all();
 }
@@ -671,31 +514,22 @@ std::vector<std::uint8_t> World::take(int src, int dst, int tag) {
   }
 }
 
-bool World::take_any_until(int src, int dst, int tag_a, int tag_b,
-                           std::chrono::steady_clock::time_point deadline,
-                           std::vector<std::uint8_t>& out, int* got_tag) {
-  return take_from_set({&src, 1}, dst, tag_a, tag_b, deadline, out, nullptr,
-                       got_tag);
-}
-
-bool World::take_from_set(std::span<const int> srcs, int dst, int tag_a,
-                          int tag_b,
-                          std::chrono::steady_clock::time_point deadline,
-                          std::vector<std::uint8_t>& out, int* got_src,
-                          int* got_tag) {
+bool World::take_from_set(
+    std::span<const int> srcs, int dst, int tag_a, int tag_b,
+    std::optional<std::chrono::steady_clock::time_point> deadline,
+    Message& out, std::size_t* got_index) {
   std::unique_lock<std::mutex> lock(mutex_);
   check_alive(dst);
   auto scan = [&]() -> bool {
-    for (const int src : srcs) {
-      Mailbox& box = mailbox(src, dst);
+    for (std::size_t i = 0; i < srcs.size(); ++i) {
+      Mailbox& box = mailbox(srcs[i], dst);
       auto it = std::find_if(box.queue.begin(), box.queue.end(),
                              [tag_a, tag_b](const Message& m) {
                                return m.tag == tag_a || m.tag == tag_b;
                              });
       if (it == box.queue.end()) continue;
-      out = std::move(it->data);
-      if (got_src != nullptr) *got_src = src;
-      if (got_tag != nullptr) *got_tag = it->tag;
+      out = std::move(*it);
+      *got_index = i;
       box.queue.erase(it);
       return true;
     }
@@ -709,7 +543,9 @@ bool World::take_from_set(std::span<const int> srcs, int dst, int tag_a,
                         std::to_string(src));
       }
     }
-    if (cv_.wait_until(lock, deadline) == std::cv_status::timeout) {
+    if (!deadline) {
+      cv_.wait(lock);
+    } else if (cv_.wait_until(lock, *deadline) == std::cv_status::timeout) {
       // One last look: a message may have raced the deadline.
       return scan();
     }
@@ -717,8 +553,7 @@ bool World::take_from_set(std::span<const int> srcs, int dst, int tag_a,
   }
 }
 
-bool World::try_take(int src, int dst, int tag,
-                     std::vector<std::uint8_t>& out) {
+bool World::try_take(int src, int dst, int tag, Message& out) {
   std::lock_guard<std::mutex> lock(mutex_);
   check_alive(src);
   check_alive(dst);
@@ -726,7 +561,7 @@ bool World::try_take(int src, int dst, int tag,
   auto it = std::find_if(box.queue.begin(), box.queue.end(),
                          [tag](const Message& m) { return m.tag == tag; });
   if (it == box.queue.end()) return false;
-  out = std::move(it->data);
+  out = std::move(*it);
   box.queue.erase(it);
   return true;
 }

@@ -20,6 +20,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -81,14 +82,14 @@ struct Topology {
 };
 
 /// Default chunk size for a pipelined transfer of `message_bytes` over
-/// `tier`. Small messages return 0 (send in one piece: framing/pipelining
+/// `tier`. Small messages return 0 (send in one piece: per-chunk
 /// overhead would dominate); large ones pick a chunk that keeps a few
 /// chunks in flight, smaller across the slower inter-node tier so the
 /// pipeline stays fed without oversized store-and-forward hops.
 std::uint64_t auto_chunk_bytes(std::uint64_t message_bytes, Tier tier);
 
-/// Tunables for the fault-tolerant chunked exchange. timeout_s <= 0
-/// selects the legacy lossless path (no framing, no fault hooks).
+/// Tunables for BatchExchange. timeout_s <= 0 is the lossless exchange:
+/// no receive deadline, no DONE handshake and no comm fault hooks.
 struct ResilienceOptions {
   double timeout_s = 0.0;   ///< per-wait receive deadline (seconds)
   unsigned max_resends = 3; ///< per-chunk re-send budget before CommError
@@ -149,78 +150,6 @@ class Communicator {
   /// compute steps instead of blocking.
   bool try_recv(int src, int tag, std::vector<std::uint8_t>& out);
 
-  /// Chunked, pipelined exchange with `peer`: `values` is split into
-  /// chunks of `chunk_elems` elements, every chunk is posted up front
-  /// (sends are buffered and return immediately), then the peer's chunks
-  /// are received in order and handed to `consume(offset, chunk)` one at a
-  /// time — so the caller's compute on chunk k overlaps the delivery of
-  /// chunk k+1, and no full-slab receive buffer is ever materialized.
-  /// chunk_elems == 0 (or >= values.size()) degenerates to one sendrecv.
-  /// Chunks of one exchange share `tag`: per-pair FIFO ordering keeps them
-  /// in sequence, and the next exchange uses a fresh tag.
-  template <typename T, typename Fn>
-  void sendrecv_chunked(int peer, int tag, std::span<const T> values,
-                        std::uint64_t chunk_elems, Fn&& consume) {
-    const std::uint64_t n = values.size();
-    if (chunk_elems == 0 || chunk_elems >= n) {
-      const std::vector<T> theirs = sendrecv_vec<T>(peer, tag, values);
-      QGEAR_CHECK_FORMAT(theirs.size() == n,
-                         "comm: chunked exchange size mismatch");
-      consume(std::uint64_t{0}, std::span<const T>(theirs));
-      return;
-    }
-    for (std::uint64_t off = 0; off < n; off += chunk_elems) {
-      send_vec<T>(peer, tag,
-                  values.subspan(off, std::min(chunk_elems, n - off)));
-    }
-    for (std::uint64_t off = 0; off < n; off += chunk_elems) {
-      const std::vector<T> chunk = recv_vec<T>(peer, tag);
-      QGEAR_CHECK_FORMAT(chunk.size() == std::min(chunk_elems, n - off),
-                         "comm: chunked exchange chunk size mismatch");
-      consume(off, std::span<const T>(chunk));
-    }
-  }
-
-  /// Fault-tolerant variant of sendrecv_chunked: every data chunk is
-  /// framed with its byte offset, receives wait at most
-  /// `resilience.timeout_s` before requesting a bounded re-send from the
-  /// peer, and the exchange ends with a DONE handshake so each side keeps
-  /// servicing re-send requests until its peer has everything. Chunks may
-  /// arrive (and be consumed) out of order — `consume(offset, chunk)`
-  /// must tolerate any order. Dropped/stalled chunks come from the fault
-  /// injector (fault::Site::comm_drop / comm_delay), which only hooks
-  /// this resilient path. timeout_s <= 0 falls back to the legacy
-  /// in-order path above.
-  template <typename T, typename Fn>
-  void sendrecv_chunked(int peer, int tag, std::span<const T> values,
-                        std::uint64_t chunk_elems, Fn&& consume,
-                        const ResilienceOptions& resilience) {
-    if (resilience.timeout_s <= 0.0) {
-      sendrecv_chunked<T>(peer, tag, values, chunk_elems,
-                          std::forward<Fn>(consume));
-      return;
-    }
-    const std::uint64_t n = values.size();
-    const std::uint64_t chunk_bytes =
-        (chunk_elems == 0 || chunk_elems >= n) ? values.size_bytes()
-                                               : chunk_elems * sizeof(T);
-    sendrecv_chunked_resilient(
-        peer, tag,
-        {reinterpret_cast<const std::uint8_t*>(values.data()),
-         values.size_bytes()},
-        chunk_bytes, resilience,
-        [&](std::uint64_t off_bytes, std::span<const std::uint8_t> payload) {
-          QGEAR_CHECK_FORMAT(off_bytes % sizeof(T) == 0 &&
-                                 payload.size() % sizeof(T) == 0,
-                             "comm: resilient chunk not element-aligned");
-          // Copy out of the frame: payload alignment inside the framed
-          // message is not guaranteed to match T.
-          std::vector<T> chunk(payload.size() / sizeof(T));
-          std::memcpy(chunk.data(), payload.data(), payload.size());
-          consume(off_bytes / sizeof(T), std::span<const T>(chunk));
-        });
-  }
-
   /// Synchronizes all live ranks.
   void barrier();
 
@@ -243,17 +172,11 @@ class Communicator {
   friend class BatchExchange;
   Communicator(World* world, int rank) : world_(world), rank_(rank) {}
 
-  /// Byte-level engine behind the resilient sendrecv_chunked overload.
-  void sendrecv_chunked_resilient(
-      int peer, int tag, std::span<const std::uint8_t> data,
-      std::uint64_t chunk_bytes, const ResilienceOptions& resilience,
-      const std::function<void(std::uint64_t,
-                               std::span<const std::uint8_t>)>& consume);
-
-  /// Sends one offset-framed data chunk, applying the comm_delay /
-  /// comm_drop fault hooks (a dropped chunk is simply never delivered).
-  void send_chunk_framed(int peer, int tag, std::uint64_t offset,
-                         std::span<const std::uint8_t> payload);
+  /// send() with `offset` stamped on the message envelope: a
+  /// BatchExchange chunk's byte position in its stream, or a control
+  /// message's argument. The payload stays the caller's bytes alone.
+  void send_at(int dest, int tag, std::uint64_t offset,
+               std::span<const std::uint8_t> data);
 
   World* world_;
   int rank_;
@@ -262,7 +185,8 @@ class Communicator {
 
 /// One pairwise leg of a BatchExchange: `send` goes to `peer`, and
 /// `recv_bytes` bytes are expected back from it. The send span must stay
-/// alive until the exchange finishes (resilient re-sends read from it).
+/// alive and unchanged until the exchange finishes (resilient re-sends
+/// read from it).
 /// chunk_bytes == 0 derives the chunk size from the message size and the
 /// pair's tier (auto_chunk_bytes).
 struct ExchangeRound {
@@ -272,18 +196,20 @@ struct ExchangeRound {
   std::uint64_t chunk_bytes = 0;
 };
 
-/// Multi-peer scheduled exchange: every round is posted up front —
-/// NVLink-domain rounds first and wide, inter-node rounds chunk-pipelined
-/// behind them — and incoming chunks are drained from any peer in any
-/// order. The non-blocking poll() lets the caller interleave compute with
-/// the tail of the exchange (compute/comm overlap); finish() drives the
-/// exchange to completion.
+/// The chunked exchange: every round is posted up front — NVLink-domain
+/// rounds first and wide, inter-node rounds chunk-pipelined behind them —
+/// and incoming chunks are drained from any peer in any order. The
+/// non-blocking poll() lets the caller interleave compute with the tail of
+/// the exchange (compute/comm overlap); finish() drives the exchange to
+/// completion. A one-round exchange is a plain pairwise sendrecv.
 ///
-/// With resilience enabled (timeout_s > 0) every leg runs the PR-9
-/// offset-framed protocol: receive timeouts trigger bounded re-send
-/// requests, and each leg ends with a DONE handshake so re-send requests
-/// are serviced until the peer has everything. The comm_delay/comm_drop
-/// fault hooks apply only on this resilient path.
+/// Each chunk carries its byte offset in the message envelope, so the
+/// payload (and the CommTrace) is data only and lands in a buffer of its
+/// own. With resilience enabled (timeout_s > 0) receives have a deadline
+/// whose expiry requests a bounded re-send of the missing chunks, each
+/// leg ends with a DONE handshake so re-send requests are serviced until
+/// the peer has everything, and the comm_delay/comm_drop fault hooks
+/// apply to every chunk sent.
 class BatchExchange {
  public:
   /// consume(round, offset_bytes, payload): chunks arrive in any order,
@@ -338,15 +264,14 @@ class BatchExchange {
     std::uint64_t have_count = 0;
     std::vector<bool> have;          ///< incoming chunk bitmap
     std::vector<unsigned> resends;   ///< per-chunk re-send requests issued
-    std::uint64_t next_offset = 0;   ///< in-order cursor (lossless path)
     bool sent_done = false;
     bool peer_done = false;
   };
 
   void send_chunk(std::size_t r, std::uint64_t offset);
   /// Handles one received message (data or ctrl). Returns true for data.
-  bool process(std::size_t r, int got_tag, std::vector<std::uint8_t>& msg,
-               const ConsumeFn& consume);
+  bool process(std::size_t r, int got_tag, std::uint64_t offset,
+               std::span<const std::uint8_t> data, const ConsumeFn& consume);
   void maybe_send_done(std::size_t r);
   void request_missing(std::size_t r);
 
@@ -371,8 +296,9 @@ class World {
 
   int size() const { return size_; }
 
-  /// Runs fn as an SPMD program: one thread per rank. Exceptions from any
-  /// rank are rethrown (the first one) after all threads join.
+  /// Runs fn as an SPMD program: one thread per rank. After all threads
+  /// join, the exception of the rank that failed first is rethrown; the
+  /// CommErrors its failure caused in waiting peers are dropped.
   void run(const std::function<void(Communicator&)>& fn);
 
   /// Convenience: construct a World and run in one call.
@@ -394,7 +320,8 @@ class World {
   friend class BatchExchange;
 
   struct Message {
-    int tag;
+    int tag = 0;
+    std::uint64_t offset = 0;  ///< see Communicator::send_at
     std::vector<std::uint8_t> data;
   };
 
@@ -406,21 +333,18 @@ class World {
     return mailboxes_[static_cast<std::size_t>(src) * size_ + dst];
   }
 
-  void deliver(int src, int dst, int tag,
+  void deliver(int src, int dst, int tag, std::uint64_t offset,
                std::span<const std::uint8_t> data);
   std::vector<std::uint8_t> take(int src, int dst, int tag);
-  bool try_take(int src, int dst, int tag, std::vector<std::uint8_t>& out);
-  /// Waits until `deadline` for a message from src matching tag_a or
-  /// tag_b; returns false on timeout. `*got_tag` reports which matched.
-  bool take_any_until(int src, int dst, int tag_a, int tag_b,
-                      std::chrono::steady_clock::time_point deadline,
-                      std::vector<std::uint8_t>& out, int* got_tag);
-  /// Multi-source variant: waits for a message from any rank in `srcs`
-  /// matching tag_a or tag_b. `*got_src` reports which peer delivered.
-  bool take_from_set(std::span<const int> srcs, int dst, int tag_a, int tag_b,
-                     std::chrono::steady_clock::time_point deadline,
-                     std::vector<std::uint8_t>& out, int* got_src,
-                     int* got_tag);
+  bool try_take(int src, int dst, int tag, Message& out);
+  /// Waits for a message from any rank in `srcs` matching tag_a or tag_b;
+  /// `*got_index` reports which entry of `srcs` delivered. Without a
+  /// deadline it waits until a message or a peer failure arrives; with
+  /// one it returns false once the deadline passes.
+  bool take_from_set(
+      std::span<const int> srcs, int dst, int tag_a, int tag_b,
+      std::optional<std::chrono::steady_clock::time_point> deadline,
+      Message& out, std::size_t* got_index);
   void check_alive(int rank) const;
 
   int size_;

@@ -110,7 +110,10 @@ Result Transformer::run_typed(const Kernel& kernel,
     dopts.shots = run_opts.shots;
     dopts.gather_state = run_opts.return_state;
     dopts.seed = opts_.seed;
+    // Fused local work comes with the remapped schedule; the per-gate one
+    // runs unfused.
     dopts.fusion_width = opts_.fusion_width;
+    dopts.remap = true;
     const dist::RunResult<T> dres =
         dist::run_distributed<T>(kernel.circuit(), dopts);
     if (run_opts.return_state) result.state = widen(dres.state);

@@ -96,6 +96,7 @@ class DistBackend final : public sim::Backend {
     RunOptions ro;
     ro.num_ranks = static_cast<int>(resolved_ranks());
     ro.fusion_width = opts_.fusion.max_width;
+    ro.remap = true;
     ro.threads_per_rank = opts_.dist_threads_per_rank;
     return ro;
   }

@@ -7,24 +7,25 @@
 // data pairwise between the two ranks that differ in that bit — exactly
 // the communication schedule the performance model prices at paper scale.
 //
-// Three mechanisms keep the hot path fast (see docs/DISTRIBUTED.md):
-// slab swaps that trade a global index bit for a local one so upcoming
-// gates run communication-free (apply_circuit_remapped, planned by
-// dist/remap), chunked exchanges that overlap the 2x2 update of chunk k
-// with the delivery of chunk k+1, and a ThreadPool threaded through every
-// local sweep and exchange update loop.
+// Two schedules (see docs/DISTRIBUTED.md): apply_circuit, the per-gate
+// schedule above — the paper's nvidia-mgpu baseline and the oracle — and
+// apply_circuit_remapped, where slab swaps planned by dist/remap trade
+// global index bits for local ones so gate runs execute
+// communication-free as fused blocks. Every exchange of either schedule
+// is one comm::BatchExchange (run_exchange), whose chunks let the update
+// of chunk k overlap the delivery of chunk k+1; a ThreadPool is threaded
+// through every local sweep and exchange update loop.
 //
 // Tags: every collective gate application uses a fresh sequence number, so
 // concurrent slabs in flight can never be mismatched. Op tags live in
 // [0, kOpTagLimit); the runner's sampler tags start at kSamplerTagBase so
 // the two spaces can never collide. Chunks of one exchange share the
-// exchange's tag: per-pair FIFO ordering keeps them in sequence.
+// exchange's tag and carry their offset in the message envelope.
 #pragma once
 
 #include <algorithm>
 #include <complex>
 #include <cstdint>
-#include <cstring>
 #include <span>
 
 #include "qgear/comm/comm.hpp"
@@ -109,7 +110,7 @@ class DistStateVector {
   }
   std::uint64_t exchange_chunk_elems() const { return exchange_chunk_elems_; }
 
-  /// Runs slab exchanges over the fault-tolerant framed protocol when
+  /// Runs every slab exchange, per-gate and batched, resiliently when
   /// timeout_s > 0 (receive timeouts, bounded re-sends, DONE handshake).
   /// Also the path the comm_delay/comm_drop fault hooks attach to.
   void set_exchange_resilience(comm::ResilienceOptions res) {
@@ -153,7 +154,8 @@ class DistStateVector {
   void apply(const qiskit::Instruction& inst,
              std::vector<unsigned>* measured = nullptr);
 
-  /// Applies a whole circuit in order, gate by gate.
+  /// Applies a whole circuit in order, gate by gate: the per-gate
+  /// schedule, and the oracle the remapped one is checked against.
   void apply_circuit(const qiskit::QuantumCircuit& qc,
                      std::vector<unsigned>* measured = nullptr) {
     QGEAR_CHECK_ARG(qc.num_qubits() == num_qubits_,
@@ -166,15 +168,6 @@ class DistStateVector {
     }
     stats_.seconds += timer.seconds();
   }
-
-  /// Applies a circuit with gate fusion over local-qubit segments:
-  /// maximal runs of unitaries touching only local qubits execute as
-  /// fused blocks (one slab sweep each), while instructions involving
-  /// global qubits keep the exact per-gate exchange schedule — the same
-  /// communication volume as apply_circuit, fewer local sweeps.
-  void apply_circuit_fused(const qiskit::QuantumCircuit& qc,
-                           unsigned fusion_width,
-                           std::vector<unsigned>* measured = nullptr);
 
   /// Executes a communication-avoiding RemapPlan (see dist/remap.hpp):
   /// slab swaps re-base the layout between segments, each segment's
@@ -275,21 +268,44 @@ class DistStateVector {
                                                const qiskit::Mat2& gate,
                                                int tag);
 
-  // Chunk size (in amplitudes) for one exchange leg with `partner`:
-  // explicit override, or auto-derived from the message size and tier.
-  // 0 = one-shot.
-  std::uint64_t chunk_elems_for(std::uint64_t msg_elems, int partner) const {
-    if (exchange_chunk_elems_ != 0) return exchange_chunk_elems_;
-    return comm::auto_chunk_bytes(msg_elems * sizeof(amp_t),
-                                  comm_->tier_to(partner)) /
-           sizeof(amp_t);
+  // One exchange leg: `send` goes to `peer` and as many amplitudes come
+  // back, in chunks of exchange_chunk_elems_ (0 = auto from size and tier).
+  comm::ExchangeRound leg(int peer, std::span<const amp_t> send) const {
+    return {.peer = peer,
+            .send = {reinterpret_cast<const std::uint8_t*>(send.data()),
+                     send.size_bytes()},
+            .recv_bytes = send.size_bytes(),
+            .chunk_bytes = exchange_chunk_elems_ * sizeof(amp_t)};
   }
 
-  // Attributes `bytes` sent to `partner` to its interconnect tier.
-  void note_tier_bytes(int partner, std::uint64_t bytes) {
-    const comm::Tier t = comm_->tier_to(partner);
-    tier_bytes_[static_cast<std::size_t>(t)] += bytes;
-    exchange_tier_counter(t).add(bytes);
+  // consume(leg, first, theirs): `theirs` holds the peer's amplitudes
+  // first .. first + theirs.size() of the leg's stream.
+  using ChunkFn = std::function<void(std::size_t, std::uint64_t,
+                                     std::span<const amp_t>)>;
+
+  // Every slab exchange runs here: the legs go out as one BatchExchange
+  // under this rank's resilience options, each received chunk is handed
+  // to `consume`, `overlap` (when set) fills the waits, and the bytes sent
+  // are booked per tier. `tag` must be allocated uniformly across ranks.
+  void run_exchange(std::vector<comm::ExchangeRound> legs, int tag,
+                    const ChunkFn& consume,
+                    const std::function<bool()>& overlap = {});
+
+  // A per-gate exchange: trades `mine` with `partner` as a one-round
+  // batch and calls update(j, theirs_j) for every amplitude index j of
+  // `mine` once the partner's chunk holding j has landed.
+  template <typename Fn>
+  void exchange_pair(int partner, int tag, std::span<const amp_t> mine,
+                     Fn&& update) {
+    run_exchange({leg(partner, mine)}, tag,
+                 [&](std::size_t, std::uint64_t first,
+                     std::span<const amp_t> theirs) {
+                   sweep(theirs.size(), [&](std::uint64_t b, std::uint64_t e) {
+                     for (std::uint64_t k = b; k < e; ++k) {
+                       update(first + k, theirs[k]);
+                     }
+                   });
+                 });
   }
 
   unsigned num_qubits_;
@@ -310,36 +326,61 @@ class DistStateVector {
 // ---- implementation ----------------------------------------------------
 
 template <typename T>
+void DistStateVector<T>::run_exchange(std::vector<comm::ExchangeRound> legs,
+                                      int tag, const ChunkFn& consume,
+                                      const std::function<bool()>& overlap) {
+  comm::BatchExchange ex(*comm_, tag, std::move(legs), exchange_resilience_);
+  const auto on_chunk = [&](std::size_t r, std::uint64_t off_bytes,
+                            std::span<const std::uint8_t> payload) {
+    QGEAR_CHECK_FORMAT(off_bytes % sizeof(amp_t) == 0 &&
+                           payload.size() % sizeof(amp_t) == 0,
+                       "dist: exchange chunk not amplitude-aligned");
+    obs::Span chunk(obs::Tracer::global(), "dist.exchange_chunk", "dist");
+    if (chunk.active()) {
+      chunk.arg("offset", off_bytes);
+      chunk.arg("amps", std::uint64_t{payload.size() / sizeof(amp_t)});
+    }
+    // The payload is the chunk's own heap buffer, which operator new
+    // aligns for any amplitude type: read it in place.
+    consume(r, off_bytes / sizeof(amp_t),
+            {reinterpret_cast<const amp_t*>(payload.data()),
+             payload.size() / sizeof(amp_t)});
+  };
+  ex.post();
+  while (!ex.done()) {
+    if (ex.poll(on_chunk)) continue;
+    // Nothing landed: hide amplitude-free work in the exchange tail.
+    if (overlap && overlap()) continue;
+    ex.wait(on_chunk);
+  }
+  for (std::size_t t = 0; t < comm::kNumTiers; ++t) {
+    const std::uint64_t sent =
+        ex.sent_tier_bytes(static_cast<comm::Tier>(t));
+    if (sent == 0) continue;
+    tier_bytes_[t] += sent;
+    exchange_tier_counter(static_cast<comm::Tier>(t)).add(sent);
+  }
+}
+
+template <typename T>
 void DistStateVector<T>::exchange_apply_1q(unsigned q,
                                            const qiskit::Mat2& gate,
                                            int tag) {
-  const unsigned gbit = q - local_qubits_;
-  const int partner = rank_ ^ (1 << gbit);
-  const unsigned my_bit = global_bit(q);
+  const int partner = rank_ ^ (1 << (q - local_qubits_));
   const auto m = sim::to_precision<T>(gate);
-  note_tier_bytes(partner, amps_.size() * sizeof(amp_t));
-  comm_->template sendrecv_chunked<amp_t>(
-      partner, tag, std::span<const amp_t>(amps_),
-      chunk_elems_for(amps_.size(), partner),
-      [&](std::uint64_t off, std::span<const amp_t> theirs) {
-        obs::Span chunk(obs::Tracer::global(), "dist.exchange_chunk",
-                        "dist");
-        if (chunk.active()) {
-          chunk.arg("offset", off);
-          chunk.arg("amps", std::uint64_t{theirs.size()});
-        }
-        sweep(theirs.size(), [&](std::uint64_t b, std::uint64_t e) {
-          if (my_bit == 0) {
-            for (std::uint64_t k = b; k < e; ++k) {
-              amps_[off + k] = m[0] * amps_[off + k] + m[1] * theirs[k];
-            }
-          } else {
-            for (std::uint64_t k = b; k < e; ++k) {
-              amps_[off + k] = m[2] * theirs[k] + m[3] * amps_[off + k];
-            }
-          }
-        });
-      });
+  // The gate row this rank's global bit selects: new = a*mine + b*theirs.
+  const amp_t a = global_bit(q) == 0 ? m[0] : m[3];
+  const amp_t b = global_bit(q) == 0 ? m[1] : m[2];
+  // The update runs in place, so resilient re-sends, which read the send
+  // span after chunks have landed, need a copy of the slab.
+  std::vector<amp_t> sent;
+  if (exchange_resilience_.timeout_s > 0) sent = amps_;
+  exchange_pair(partner, tag,
+                sent.empty() ? std::span<const amp_t>(amps_)
+                             : std::span<const amp_t>(sent),
+                [&](std::uint64_t j, const amp_t& theirs) {
+                  amps_[j] = a * amps_[j] + b * theirs;
+                });
   ++stats_.sweeps;
   stats_.amp_ops += amps_.size();
 }
@@ -347,9 +388,7 @@ void DistStateVector<T>::exchange_apply_1q(unsigned q,
 template <typename T>
 void DistStateVector<T>::exchange_apply_controlled_local_control(
     unsigned control, unsigned target, const qiskit::Mat2& gate, int tag) {
-  const unsigned gbit = target - local_qubits_;
-  const int partner = rank_ ^ (1 << gbit);
-  const unsigned my_bit = global_bit(target);
+  const int partner = rank_ ^ (1 << (target - local_qubits_));
   const std::uint64_t cstride = pow2(control);
 
   // Gather the control=1 half (local indices with the control bit set).
@@ -361,27 +400,13 @@ void DistStateVector<T>::exchange_apply_controlled_local_control(
     }
   });
   const auto m = sim::to_precision<T>(gate);
-  note_tier_bytes(partner, mine.size() * sizeof(amp_t));
-  comm_->template sendrecv_chunked<amp_t>(
-      partner, tag, std::span<const amp_t>(mine),
-      chunk_elems_for(mine.size(), partner),
-      [&](std::uint64_t off, std::span<const amp_t> theirs) {
-        obs::Span chunk(obs::Tracer::global(), "dist.exchange_chunk",
-                        "dist");
-        if (chunk.active()) {
-          chunk.arg("offset", off);
-          chunk.arg("amps", std::uint64_t{theirs.size()});
-        }
-        sweep(theirs.size(), [&](std::uint64_t b, std::uint64_t e) {
-          for (std::uint64_t k = b; k < e; ++k) {
-            const std::uint64_t i =
-                insert_zero_bit(off + k, control) | cstride;
-            amps_[i] = my_bit == 0
-                           ? m[0] * mine[off + k] + m[1] * theirs[k]
-                           : m[2] * theirs[k] + m[3] * mine[off + k];
-          }
-        });
-      });
+  const amp_t a = global_bit(target) == 0 ? m[0] : m[3];
+  const amp_t b = global_bit(target) == 0 ? m[1] : m[2];
+  exchange_pair(partner, tag, mine,
+                [&](std::uint64_t j, const amp_t& theirs) {
+                  amps_[insert_zero_bit(j, control) | cstride] =
+                      a * mine[j] + b * theirs;
+                });
   ++stats_.sweeps;
   stats_.amp_ops += half;
 }
@@ -458,63 +483,21 @@ void DistStateVector<T>::exchange_index_bit_swap(
     for (unsigned i = 0; i < k; ++i) {
       if ((d >> i) & 1u) gmask |= pow2(ps[i].global_phys - local_qubits_);
     }
-    rounds.push_back(
-        {.peer = rank_ ^ static_cast<int>(gmask),
-         .send = {reinterpret_cast<const std::uint8_t*>(buf.data()),
-                  buf.size() * sizeof(amp_t)},
-         .recv_bytes = group_size * sizeof(amp_t),
-         .chunk_bytes = exchange_chunk_elems_ * sizeof(amp_t)});
+    rounds.push_back(leg(rank_ ^ static_cast<int>(gmask), buf));
     group_of_round.push_back(v);
   }
 
-  comm::BatchExchange ex(*comm_, tag, std::move(rounds),
-                         exchange_resilience_);
-  std::vector<amp_t> scratch;
-  const auto consume = [&](std::size_t r, std::uint64_t off_bytes,
-                           std::span<const std::uint8_t> payload) {
-    QGEAR_CHECK_FORMAT(off_bytes % sizeof(amp_t) == 0 &&
-                           payload.size() % sizeof(amp_t) == 0,
-                       "dist: exchange chunk not amplitude-aligned");
-    obs::Span chunk(obs::Tracer::global(), "dist.exchange_chunk", "dist");
-    if (chunk.active()) {
-      chunk.arg("offset", off_bytes);
-      chunk.arg("amps", std::uint64_t{payload.size() / sizeof(amp_t)});
-    }
-    const std::uint64_t v = group_of_round[r];
-    const std::uint64_t j0 = off_bytes / sizeof(amp_t);
-    const std::uint64_t cnt = payload.size() / sizeof(amp_t);
-    // Scatter straight from the wire buffer when it is amplitude-aligned
-    // (the unframed fast path always is); bounce through scratch only for
-    // the framed resilient layout.
-    const amp_t* src = nullptr;
-    if (reinterpret_cast<std::uintptr_t>(payload.data()) %
-            alignof(amp_t) == 0) {
-      src = reinterpret_cast<const amp_t*>(payload.data());
-    } else {
-      scratch.resize(cnt);
-      std::memcpy(scratch.data(), payload.data(), payload.size());
-      src = scratch.data();
-    }
-    sweep(cnt, [&](std::uint64_t lo, std::uint64_t hi) {
-      for (std::uint64_t j = lo; j < hi; ++j) {
-        amps_[expand(j0 + j, v)] = src[j];
-      }
-    });
-  };
-  ex.post();
-  while (!ex.done()) {
-    if (ex.poll(consume)) continue;
-    // Nothing landed: hide amplitude-free work in the exchange tail.
-    if (overlap && overlap()) continue;
-    ex.wait(consume);
-  }
-  for (std::size_t t = 0; t < comm::kNumTiers; ++t) {
-    const std::uint64_t sent =
-        ex.sent_tier_bytes(static_cast<comm::Tier>(t));
-    if (sent == 0) continue;
-    tier_bytes_[t] += sent;
-    exchange_tier_counter(static_cast<comm::Tier>(t)).add(sent);
-  }
+  run_exchange(
+      std::move(rounds), tag,
+      [&](std::size_t r, std::uint64_t first, std::span<const amp_t> theirs) {
+        const std::uint64_t v = group_of_round[r];
+        sweep(theirs.size(), [&](std::uint64_t lo, std::uint64_t hi) {
+          for (std::uint64_t j = lo; j < hi; ++j) {
+            amps_[expand(first + j, v)] = theirs[j];
+          }
+        });
+      },
+      overlap);
   ++stats_.sweeps;
   stats_.amp_ops += amps_.size() - group_size;
 }
@@ -647,64 +630,6 @@ void DistStateVector<T>::apply_with_tag(const qiskit::Instruction& inst,
 }
 
 template <typename T>
-void DistStateVector<T>::apply_circuit_fused(
-    const qiskit::QuantumCircuit& qc, unsigned fusion_width,
-    std::vector<unsigned>* measured) {
-  QGEAR_CHECK_ARG(qc.num_qubits() == num_qubits_,
-                  "dist: circuit qubit count mismatch");
-  QGEAR_CHECK_ARG(fusion_width >= 1, "dist: fusion width must be >= 1");
-  obs::Span span(obs::Tracer::global(), "dist.apply_circuit_fused", "dist");
-  if (span.active()) span.arg("rank", std::uint64_t{unsigned(rank_)});
-  WallTimer timer;
-  const unsigned width = std::min(fusion_width, local_qubits_);
-
-  qiskit::QuantumCircuit segment(local_qubits_, "local_segment");
-  auto flush = [&] {
-    if (segment.empty()) return;
-    const sim::FusionPlan plan =
-        sim::plan_fusion(segment, {.max_width = width});
-    for (const sim::FusedBlock& block : plan.blocks) {
-      sim::apply_fused_block(amps_.data(), local_qubits_, block, pool_);
-      switch (block.kernel_class) {
-        case sim::KernelClass::diagonal:
-          ++stats_.diag_blocks;
-          break;
-        case sim::KernelClass::permutation:
-          ++stats_.perm_blocks;
-          break;
-        case sim::KernelClass::dense:
-          ++stats_.dense_blocks;
-          break;
-      }
-      ++stats_.sweeps;
-      ++stats_.fused_blocks;
-      stats_.amp_ops += amps_.size();
-    }
-    stats_.gates += plan.input_gates;
-    segment = qiskit::QuantumCircuit(local_qubits_, "local_segment");
-  };
-
-  for (const qiskit::Instruction& inst : qc.instructions()) {
-    // Tags stay uniform across ranks: one per instruction, always.
-    const int tag = next_tag();
-    const qiskit::GateInfo& info = qiskit::gate_info(inst.kind);
-    const bool local_unitary =
-        info.unitary && info.num_qubits >= 1 &&
-        static_cast<unsigned>(inst.q0) < local_qubits_ &&
-        (info.num_qubits < 2 ||
-         static_cast<unsigned>(inst.q1) < local_qubits_);
-    if (local_unitary) {
-      segment.append(inst);
-      continue;
-    }
-    flush();
-    apply_with_tag(inst, tag, measured);
-  }
-  flush();
-  stats_.seconds += timer.seconds();
-}
-
-template <typename T>
 void DistStateVector<T>::apply_circuit_remapped(
     const RemapPlan& plan, unsigned fusion_width,
     std::vector<unsigned>* measured) {
@@ -721,27 +646,6 @@ void DistStateVector<T>::apply_circuit_remapped(
   }
   WallTimer timer;
   const unsigned width = std::min(fusion_width, local_qubits_);
-
-  auto run_blocks = [&](const sim::FusionPlan& fplan) {
-    for (const sim::FusedBlock& block : fplan.blocks) {
-      sim::apply_fused_block(amps_.data(), local_qubits_, block, pool_);
-      switch (block.kernel_class) {
-        case sim::KernelClass::diagonal:
-          ++stats_.diag_blocks;
-          break;
-        case sim::KernelClass::permutation:
-          ++stats_.perm_blocks;
-          break;
-        case sim::KernelClass::dense:
-          ++stats_.dense_blocks;
-          break;
-      }
-      ++stats_.sweeps;
-      ++stats_.fused_blocks;
-      stats_.amp_ops += amps_.size();
-    }
-    stats_.gates += fplan.input_gates;
-  };
 
   for (const RemapSegment& seg : plan.segments) {
     // Partition the segment into maximal local-unitary runs (fused) and
@@ -795,7 +699,10 @@ void DistStateVector<T>::apply_circuit_remapped(
     for (const Item& item : items) {
       if (item.run >= 0) {
         while (built <= static_cast<std::size_t>(item.run)) build_next();
-        run_blocks(fplans[item.run]);
+        for (const sim::FusedBlock& block : fplans[item.run].blocks) {
+          sim::apply_fused_block(amps_.data(), local_qubits_, block, pool_);
+          sim::count_fused_block(stats_, block, amps_.size());
+        }
         // Tags stay uniform across ranks: one per instruction, always.
         for (std::size_t g = 0; g < runs[item.run].size(); ++g) next_tag();
         continue;

@@ -87,7 +87,7 @@ std::uint64_t plan_exchange_bytes_total(const RemapPlan& plan,
                                         std::size_t amp_bytes);
 
 /// Same total for the baseline per-gate schedule of `qc` (what
-/// apply_circuit / apply_circuit_fused record in the CommTrace).
+/// DistStateVector::apply_circuit records in the CommTrace).
 std::uint64_t schedule_exchange_bytes_total(const qiskit::QuantumCircuit& qc,
                                             unsigned num_local,
                                             std::size_t amp_bytes);

@@ -23,12 +23,15 @@ struct RunOptions {
   std::uint64_t shots = 0;      ///< 0 = no sampling
   bool gather_state = false;    ///< collect the full state (small n only)
   std::uint64_t seed = 12345;   ///< sampling seed
-  /// Fuse local-qubit gate runs into blocked sweeps (0 = per-gate).
+  /// Fused-block width of the remapped schedule's local segments (0 runs
+  /// width-1 blocks). Needs remap: the per-gate schedule runs unfused,
+  /// and a nonzero width without remap is rejected.
   unsigned fusion_width = 0;
   /// Execute the communication-avoiding remapped schedule (dist/remap):
   /// global qubits are swapped into local slots ahead of gate runs and
-  /// logical swap gates dissolve into the qubit map. Implies fused local
-  /// segments (fusion_width 0 runs width-1 blocks).
+  /// logical swap gates dissolve into the qubit map. false runs the
+  /// per-gate schedule (DistStateVector::apply_circuit), the paper's
+  /// nvidia-mgpu baseline and the oracle.
   bool remap = false;
   /// Worker threads per rank for local sweeps and exchange updates
   /// (0 = scalar loops). Total threads = num_ranks * threads_per_rank.
@@ -46,9 +49,9 @@ struct RunOptions {
   /// domains are inter-node. Mirrors perfmodel's gpus_per_node. 0 = one
   /// flat domain.
   unsigned ranks_per_domain = 4;
-  /// Resilient slab exchanges (timeout_s > 0): offset-framed chunks with
-  /// receive timeouts and bounded re-sends — the path the comm fault
-  /// hooks attach to.
+  /// Resilient slab exchanges (timeout_s > 0): receive timeouts and
+  /// bounded re-sends on every exchange of either schedule — the path the
+  /// comm fault hooks attach to.
   comm::ResilienceOptions exchange_resilience = {};
 };
 
@@ -193,6 +196,9 @@ RunResult<T> run_distributed(const qiskit::QuantumCircuit& qc,
                              const RunOptions& opts) {
   QGEAR_CHECK_ARG(opts.num_ranks >= 1 && is_pow2(opts.num_ranks),
                   "dist: num_ranks must be a power of two");
+  QGEAR_CHECK_ARG(opts.remap || opts.fusion_width == 0,
+                  "dist: fusion_width > 0 needs remap (the per-gate "
+                  "schedule runs unfused)");
   // Resolve the run's trace context: explicit id > ambient > fresh. The
   // driver span stays on the host lane (rank -1); each SPMD thread below
   // re-scopes the same trace_id with its own rank.
@@ -247,8 +253,6 @@ RunResult<T> run_distributed(const qiskit::QuantumCircuit& qc,
     if (plan) {
       state.apply_circuit_remapped(*plan, std::max(opts.fusion_width, 1u),
                                    &measured);
-    } else if (opts.fusion_width > 0) {
-      state.apply_circuit_fused(qc, opts.fusion_width, &measured);
     } else {
       state.apply_circuit(qc, &measured);
     }

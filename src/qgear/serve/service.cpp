@@ -479,21 +479,7 @@ bool SimService::execute_plan(JobState& job, const CompiledCircuit& compiled,
     const sim::FusedBlock& block = blocks[i];
     sim::apply_fused_block(state.data(), state.num_qubits(), block,
                            /*pool=*/nullptr);
-    switch (block.kernel_class) {
-      case sim::KernelClass::diagonal:
-        ++stats->diag_blocks;
-        break;
-      case sim::KernelClass::permutation:
-        ++stats->perm_blocks;
-        break;
-      case sim::KernelClass::dense:
-        ++stats->dense_blocks;
-        break;
-    }
-    ++stats->sweeps;
-    ++stats->fused_blocks;
-    stats->amp_ops += state.size();
-    stats->gates += block.source_gates;
+    sim::count_fused_block(*stats, block, state.size());
     // Segment checkpoint every N blocks (never after the last one — the
     // job is about to finish and the file would be deleted immediately).
     if (!job.checkpoint_path.empty() && opts_.checkpoint_every > 0 &&

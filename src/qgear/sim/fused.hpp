@@ -39,6 +39,29 @@ void apply_fused_block(std::complex<T>* amps, unsigned num_qubits,
   apply_multi(amps, num_qubits, block.qubits, block.matrix, pool);
 }
 
+/// Books one applied block into `stats`: one sweep over `amps`
+/// amplitudes, its kernel class, and the gates fused into it. Every
+/// engine that runs fused blocks (fused, dist's local segments, serve)
+/// counts through here.
+inline void count_fused_block(EngineStats& stats, const FusedBlock& block,
+                              std::uint64_t amps) {
+  switch (block.kernel_class) {
+    case KernelClass::diagonal:
+      ++stats.diag_blocks;
+      break;
+    case KernelClass::permutation:
+      ++stats.perm_blocks;
+      break;
+    case KernelClass::dense:
+      ++stats.dense_blocks;
+      break;
+  }
+  ++stats.sweeps;
+  ++stats.fused_blocks;
+  stats.amp_ops += amps;
+  stats.gates += block.source_gates;
+}
+
 template <typename T>
 class FusedEngine {
  public:
@@ -88,21 +111,7 @@ class FusedEngine {
         block_span.arg("kernel", kernel_class_name(block.kernel_class));
       }
       apply_fused_block(state.data(), state.num_qubits(), block, opts_.pool);
-      switch (block.kernel_class) {
-        case KernelClass::diagonal:
-          ++stats_.diag_blocks;
-          break;
-        case KernelClass::permutation:
-          ++stats_.perm_blocks;
-          break;
-        case KernelClass::dense:
-          ++stats_.dense_blocks;
-          break;
-      }
-      ++stats_.sweeps;
-      ++stats_.fused_blocks;
-      stats_.amp_ops += state.size();
-      stats_.gates += block.source_gates;
+      count_fused_block(stats_, block, state.size());
     }
     stats_.seconds += timer.seconds();
 

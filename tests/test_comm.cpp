@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <numeric>
 
 #include "qgear/common/error.hpp"
@@ -203,6 +204,45 @@ TEST(Comm, TryRecvNonBlocking) {
   });
 }
 
+TEST(Comm, RunRethrowsTheFirstFailure) {
+  // Rank 1 fails while rank 0 waits on it. Rank 0 then fails too, with a
+  // CommError naming rank 1; run() must surface rank 1's root cause even
+  // though rank 0 is the lower rank.
+  World w(2);
+  EXPECT_THROW(
+      w.run([](Communicator& c) {
+        if (c.rank() == 1) throw InvalidArgument("rank 1: bad input");
+        c.recv(1, 0);
+      }),
+      InvalidArgument);
+}
+
+/// One-round BatchExchange of `mine` with `peer`, in chunks of
+/// `chunk_elems` elements (0 = auto); consume(offset, chunk) gets each
+/// received chunk with its element offset.
+template <typename T, typename Fn>
+void exchange_with(Communicator& c, int peer, int tag,
+                   std::span<const T> mine, std::uint64_t chunk_elems,
+                   Fn&& consume, ResilienceOptions res = {}) {
+  const std::span<const std::uint8_t> bytes(
+      reinterpret_cast<const std::uint8_t*>(mine.data()), mine.size_bytes());
+  BatchExchange ex(c, tag,
+                   {{.peer = peer,
+                     .send = bytes,
+                     .recv_bytes = bytes.size(),
+                     .chunk_bytes = chunk_elems * sizeof(T)}},
+                   res);
+  ex.post();
+  ex.finish([&](std::size_t, std::uint64_t off,
+                std::span<const std::uint8_t> payload) {
+    ASSERT_EQ(off % sizeof(T), 0u);
+    ASSERT_EQ(payload.size() % sizeof(T), 0u);
+    std::vector<T> chunk(payload.size() / sizeof(T));
+    std::memcpy(chunk.data(), payload.data(), payload.size());
+    consume(off / sizeof(T), std::span<const T>(chunk));
+  });
+}
+
 TEST(Comm, ChunkedExchangeReassembles) {
   World w(2);
   w.run([](Communicator& c) {
@@ -210,8 +250,8 @@ TEST(Comm, ChunkedExchangeReassembles) {
     for (int i = 0; i < 10; ++i) mine[i] = c.rank() * 100 + i;
     std::vector<std::int32_t> got(10, -1);
     std::vector<std::uint64_t> offsets;
-    c.sendrecv_chunked<std::int32_t>(
-        1 - c.rank(), 3, mine, /*chunk_elems=*/3,
+    exchange_with<std::int32_t>(
+        c, 1 - c.rank(), 3, mine, /*chunk_elems=*/3,
         [&](std::uint64_t off, std::span<const std::int32_t> chunk) {
           offsets.push_back(off);
           std::copy(chunk.begin(), chunk.end(),
@@ -228,10 +268,11 @@ TEST(Comm, ChunkedExchangeDegeneratesToOneShot) {
   World w(2);
   w.run([](Communicator& c) {
     const std::vector<double> mine = {1.0 + c.rank(), 2.0 + c.rank()};
+    int tag = 4;
     for (std::uint64_t chunk : {std::uint64_t{0}, std::uint64_t{16}}) {
       int calls = 0;
-      c.sendrecv_chunked<double>(
-          1 - c.rank(), 4, mine, chunk,
+      exchange_with<double>(
+          c, 1 - c.rank(), tag++, mine, chunk,
           [&](std::uint64_t off, std::span<const double> theirs) {
             ++calls;
             EXPECT_EQ(off, 0u);
@@ -242,6 +283,26 @@ TEST(Comm, ChunkedExchangeDegeneratesToOneShot) {
       EXPECT_EQ(calls, 1);
     }
   });
+}
+
+TEST(Comm, ExchangeTraceCountsPayloadOnly) {
+  // The chunk offset rides in the message envelope, so the trace holds
+  // exactly the exchanged payload on both paths; the resilient path's
+  // DONE handshake adds messages but no bytes.
+  for (const double timeout_s : {0.0, 10.0}) {
+    World w(2);
+    w.run([&](Communicator& c) {
+      const std::vector<double> mine(64, 1.0 * c.rank());
+      ResilienceOptions res;
+      res.timeout_s = timeout_s;
+      exchange_with<double>(c, 1 - c.rank(), 5, mine, /*chunk_elems=*/16,
+                            [](std::uint64_t, std::span<const double>) {},
+                            res);
+    });
+    EXPECT_EQ(w.trace().total_bytes, 2u * 64u * sizeof(double))
+        << "timeout_s=" << timeout_s;
+    EXPECT_EQ(w.trace().entries.size(), timeout_s > 0 ? 2u * 4u + 2u : 8u);
+  }
 }
 
 TEST(Comm, ResilientExchangeSurvivesDroppedChunks) {
@@ -258,8 +319,8 @@ TEST(Comm, ResilientExchangeSurvivesDroppedChunks) {
     ResilienceOptions res;
     res.timeout_s = 0.02;
     res.max_resends = 50;  // plenty: re-sent chunks can be dropped again
-    c.sendrecv_chunked<std::int32_t>(
-        1 - c.rank(), 9, mine, /*chunk_elems=*/8,
+    exchange_with<std::int32_t>(
+        c, 1 - c.rank(), 9, mine, /*chunk_elems=*/8,
         [&](std::uint64_t off, std::span<const std::int32_t> chunk) {
           std::copy(chunk.begin(), chunk.end(),
                     got.begin() + static_cast<std::ptrdiff_t>(off));
@@ -284,8 +345,8 @@ TEST(Comm, ResilientExchangeExhaustsResendBudget) {
     ResilienceOptions res;
     res.timeout_s = 0.005;
     res.max_resends = 2;
-    EXPECT_THROW(c.sendrecv_chunked<double>(
-                     1 - c.rank(), 9, mine, /*chunk_elems=*/2,
+    EXPECT_THROW(exchange_with<double>(
+                     c, 1 - c.rank(), 9, mine, /*chunk_elems=*/2,
                      [](std::uint64_t, std::span<const double>) {}, res),
                  CommError);
   });
@@ -300,11 +361,11 @@ TEST(Comm, ResilientExchangeRejectsBadArguments) {
     const auto sink = [](std::uint64_t, std::span<const double>) {};
     if (c.rank() == 0) {
       // Self-exchange and negative tags are caller bugs, not faults.
-      EXPECT_THROW(c.sendrecv_chunked<double>(0, 9, mine, 1, sink, res),
+      EXPECT_THROW(exchange_with<double>(c, 0, 9, mine, 1, sink, res),
                    InvalidArgument);
-      EXPECT_THROW(c.sendrecv_chunked<double>(1, -3, mine, 1, sink, res),
+      EXPECT_THROW(exchange_with<double>(c, 1, -3, mine, 1, sink, res),
                    InvalidArgument);
-      EXPECT_THROW(c.sendrecv_chunked<double>(5, 9, mine, 1, sink, res),
+      EXPECT_THROW(exchange_with<double>(c, 5, 9, mine, 1, sink, res),
                    InvalidArgument);
     }
   });
@@ -317,14 +378,14 @@ TEST(Comm, ResilientExchangeRejectsMalformedFrames) {
     res.timeout_s = 0.05;
     res.max_resends = 1;
     if (c.rank() == 1) {
-      // A rogue 3-byte message on the data tag: too short to carry the
-      // u64 offset frame.
+      // A rogue 3-byte message on the data tag: its envelope says offset
+      // 0, where an 8-byte chunk belongs.
       c.send(0, 9, std::vector<std::uint8_t>{1, 2, 3});
       return;
     }
     const std::vector<double> mine = {1.0, 2.0};
-    EXPECT_THROW(c.sendrecv_chunked<double>(
-                     1, 9, mine, /*chunk_elems=*/1,
+    EXPECT_THROW(exchange_with<double>(
+                     c, 1, 9, mine, /*chunk_elems=*/1,
                      [](std::uint64_t, std::span<const double>) {}, res),
                  FormatError);
   });

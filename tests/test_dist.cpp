@@ -4,6 +4,8 @@
 
 #include <set>
 
+#include "qgear/fault/fault.hpp"
+#include "qgear/obs/metrics.hpp"
 #include "qgear/sim/reference.hpp"
 #include "tests/sim_test_util.hpp"
 
@@ -151,26 +153,31 @@ TEST(DistState, TraceMatchesPredictedCost) {
   EXPECT_EQ(res.trace.total_bytes, predicted);
 }
 
-TEST(DistState, FusedMatchesPerGate) {
-  for (int ranks : {2, 4}) {
-    for (std::uint64_t seed : {51u, 52u}) {
-      const auto qc = sim_test::random_circuit(6, 150, seed);
-      const auto per_gate = run_distributed<double>(
-          qc, {.num_ranks = ranks, .gather_state = true});
-      const auto fused = run_distributed<double>(
-          qc,
-          {.num_ranks = ranks, .gather_state = true, .fusion_width = 5});
-      double worst = 0;
-      for (std::size_t i = 0; i < per_gate.state.size(); ++i) {
-        worst = std::max(worst,
-                         std::abs(per_gate.state[i] - fused.state[i]));
-      }
-      EXPECT_LT(worst, 1e-10) << "ranks=" << ranks << " seed=" << seed;
-      // The exchange schedule is untouched by local fusion.
-      EXPECT_EQ(fused.trace.total_bytes, per_gate.trace.total_bytes);
-      // Local work shrinks.
-      EXPECT_LT(fused.rank_stats[0].sweeps, per_gate.rank_stats[0].sweeps);
-    }
+TEST(DistState, PerGateSurvivesDropAndDelayFaults) {
+  // Per-gate exchanges run resiliently too: with a quarter of all chunks
+  // dropped and a quarter delayed, the per-gate schedule must still land
+  // the fault-free state bit for bit.
+  const auto qc = sim_test::random_circuit(6, 150, 61);
+  RunOptions opts{.num_ranks = 4, .gather_state = true,
+                  .exchange_chunk_bytes = 128};  // 2 chunks per slab
+  const auto clean = run_distributed<double>(qc, opts);
+
+  fault::FaultPlan plan;
+  plan.seed = 17;
+  plan.site(fault::Site::comm_drop).probability = 0.25;
+  plan.site(fault::Site::comm_delay).probability = 0.25;
+  plan.site(fault::Site::comm_delay).delay_us = 200;
+  fault::ArmScope arm(plan);
+  obs::Counter& dropped =
+      obs::Registry::global().counter("comm.chunks_dropped");
+  const std::uint64_t dropped_before = dropped.value();
+  opts.exchange_resilience = {.timeout_s = 0.02, .max_resends = 50};
+  const auto faulty = run_distributed<double>(qc, opts);
+
+  EXPECT_GT(dropped.value(), dropped_before);
+  ASSERT_EQ(faulty.state.size(), clean.state.size());
+  for (std::size_t i = 0; i < clean.state.size(); ++i) {
+    ASSERT_EQ(faulty.state[i], clean.state[i]) << "index " << i;
   }
 }
 
@@ -179,7 +186,8 @@ TEST(DistState, FusedMatchesReferenceWithMeasures) {
   qc.h(0).cx(0, 1).ry(0.4, 2).cx(2, 3).rx(0.9, 4).cx(3, 4);
   qc.measure_all();
   const auto res = run_distributed<double>(
-      qc, {.num_ranks = 4, .gather_state = true, .fusion_width = 4});
+      qc, {.num_ranks = 4, .gather_state = true, .fusion_width = 4,
+           .remap = true});
   EXPECT_LT(max_diff_vs_reference(qc, res.state), 1e-12);
   EXPECT_EQ(res.measured.size(), 5u);
 }
@@ -229,6 +237,17 @@ TEST(DistState, RejectsBadConfigs) {
                InvalidArgument);
   // 16 ranks need >= 5 qubits.
   EXPECT_THROW(run_distributed<double>(qc, {.num_ranks = 16}), Error);
+}
+
+TEST(DistState, FusionWithoutRemapRejected) {
+  // The per-gate schedule runs unfused; fused local work comes with the
+  // remapped schedule only.
+  const auto qc = sim_test::random_circuit(5, 20, 1);
+  EXPECT_THROW(
+      run_distributed<double>(qc, {.num_ranks = 4, .fusion_width = 3}),
+      InvalidArgument);
+  EXPECT_NO_THROW(run_distributed<double>(
+      qc, {.num_ranks = 4, .fusion_width = 3, .remap = true}));
 }
 
 TEST(DistState, StatsPerRank) {

@@ -32,15 +32,14 @@ TEST(DistAccept, Qft24At16RanksHalvesExchangeBytesAtEqualState) {
   }
   qc.compose(circuits::build_qft(n, {.do_swaps = true}));
 
-  const auto fused = run_distributed<float>(
-      qc, {.num_ranks = 16, .fusion_width = 5});
+  const auto per_gate = run_distributed<float>(qc, {.num_ranks = 16});
   const auto remapped = run_distributed<float>(
       qc, {.num_ranks = 16, .gather_state = true, .fusion_width = 5,
            .remap = true, .threads_per_rank = 2,
            .exchange_chunk_bytes = 1 << 18});
 
-  // >= 2x fewer exchange bytes than the fused per-gate schedule.
-  EXPECT_GE(fused.circuit_exchange_bytes,
+  // >= 2x fewer exchange bytes than the per-gate schedule.
+  EXPECT_GE(per_gate.circuit_exchange_bytes,
             2 * remapped.circuit_exchange_bytes);
   EXPECT_GT(remapped.remap_slab_swaps, 0u);
   EXPECT_EQ(remapped.remap_elided_swaps, n / 2);
@@ -61,18 +60,18 @@ TEST(DistAccept, RemapMatchesFusedStateAtModerateSize) {
   // Cross-check the two distributed schedules against each other (double
   // precision, exact comparison territory) at a size Debug builds can run.
   const auto qc = circuits::build_qft(12, {.do_swaps = true});
-  const auto fused = run_distributed<double>(
-      qc, {.num_ranks = 16, .gather_state = true, .fusion_width = 5});
+  const auto per_gate = run_distributed<double>(
+      qc, {.num_ranks = 16, .gather_state = true});
   const auto remapped = run_distributed<double>(
       qc, {.num_ranks = 16, .gather_state = true, .fusion_width = 5,
            .remap = true, .threads_per_rank = 2});
-  ASSERT_EQ(fused.state.size(), remapped.state.size());
+  ASSERT_EQ(per_gate.state.size(), remapped.state.size());
   double worst = 0;
-  for (std::size_t i = 0; i < fused.state.size(); ++i) {
-    worst = std::max(worst, std::abs(fused.state[i] - remapped.state[i]));
+  for (std::size_t i = 0; i < per_gate.state.size(); ++i) {
+    worst = std::max(worst, std::abs(per_gate.state[i] - remapped.state[i]));
   }
   EXPECT_LT(worst, 1e-11);
-  EXPECT_GE(fused.circuit_exchange_bytes,
+  EXPECT_GE(per_gate.circuit_exchange_bytes,
             2 * remapped.circuit_exchange_bytes);
 }
 

@@ -234,7 +234,7 @@ TEST(DistExchange, OverlapRunsInExchangeTail) {
 }
 
 TEST(DistExchange, ResilientBatchSurvivesDropAndDelayFaults) {
-  // comm.drop + comm.delay against the framed resilient protocol: every
+  // comm.drop + comm.delay against the resilient protocol: every
   // chunk must still land (zero completion loss) and the state must be
   // bit-exact, overlap hook active the whole time.
   fault::FaultPlan plan;

@@ -1,7 +1,7 @@
 // Parameterized property sweeps over the distributed engine: every
 // (qubits, ranks, fusion) combination must match the single-device
-// reference exactly, preserve the norm, and keep the exchange schedule
-// independent of local fusion.
+// reference exactly and preserve the norm. Fusion 0 runs the per-gate
+// schedule; fusion > 0 runs the remapped one at that width.
 #include <gtest/gtest.h>
 
 #include "qgear/dist/runner.hpp"
@@ -14,7 +14,7 @@ namespace {
 struct DistCase {
   unsigned qubits;
   int ranks;
-  unsigned fusion;  // 0 = per-gate
+  unsigned fusion;  // 0 = per-gate, else remapped at this width
   std::uint64_t seed;
 };
 
@@ -32,7 +32,7 @@ TEST_P(DistProperty, MatchesReference) {
   const auto qc = sim_test::random_circuit(p.qubits, 120, p.seed);
   const auto res = run_distributed<double>(
       qc, {.num_ranks = p.ranks, .gather_state = true,
-           .fusion_width = p.fusion});
+           .fusion_width = p.fusion, .remap = p.fusion > 0});
   sim::ReferenceEngine<double> ref;
   const auto expected = ref.run(qc);
   double worst = 0;
@@ -42,18 +42,6 @@ TEST_P(DistProperty, MatchesReference) {
   }
   EXPECT_LT(worst, 1e-10);
   EXPECT_NEAR(res.norm, 1.0, 1e-10);
-}
-
-TEST_P(DistProperty, FusionDoesNotChangeExchangeSchedule) {
-  const auto& p = GetParam();
-  if (p.fusion == 0) GTEST_SKIP() << "baseline case";
-  const auto qc = sim_test::random_circuit(p.qubits, 120, p.seed);
-  const auto fused = run_distributed<double>(
-      qc, {.num_ranks = p.ranks, .fusion_width = p.fusion});
-  const auto per_gate =
-      run_distributed<double>(qc, {.num_ranks = p.ranks});
-  EXPECT_EQ(fused.trace.total_bytes, per_gate.trace.total_bytes);
-  EXPECT_EQ(fused.trace.entries.size(), per_gate.trace.entries.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(
