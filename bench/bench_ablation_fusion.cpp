@@ -13,6 +13,7 @@
 #include "qgear/qiskit/transpile.hpp"
 #include "qgear/sim/fused.hpp"
 #include "qgear/sim/isa.hpp"
+#include "qgear/sim/kernel_table.hpp"
 
 using namespace qgear;
 
@@ -106,6 +107,74 @@ void report_isa_sweep() {
       "expected shape: avx2 >= 2x scalar on dense sweeps (4 fp32 / 2 fp64 "
       "amplitudes per 256-bit op, complex mul via fmaddsub); sse2 lands "
       "between.\n");
+}
+
+/// One compiled ISA's apply_2q_dense rows: ns per amplitude for each
+/// (q_lo, q_hi) pair, single thread, straight through the ISA's table (no
+/// pool, so no sim.* or threadpool.* counter moves).
+template <typename T>
+void kernel_rate_rows(const char* precision, sim::Isa isa,
+                      bench::Table& table) {
+  constexpr unsigned kQubits = 20;
+  constexpr int kReps = 5;
+  // (0, 1) keeps a whole group in one fp32 AVX2 vector; (10, 11) runs
+  // the across-vector branch on every ISA and is the reference row.
+  const std::pair<unsigned, unsigned> pairs[] = {
+      {0, 1}, {0, 11}, {1, 11}, {2, 11}, {10, 11}};
+  // Unitary (the 4-point DFT / 2), so repeated sweeps keep the norm.
+  std::vector<std::complex<double>> dft(16);
+  for (int r = 0; r < 4; ++r) {
+    for (int c = 0; c < 4; ++c) {
+      dft[4 * r + c] = std::polar(0.5, M_PI / 2 * ((r * c) % 4));
+    }
+  }
+  const auto& kernels = sim::kernel_table_for<T>(isa);
+  // Random amplitudes: a uniform state would cancel to exact zeros and
+  // then to subnormals, which time the FPU's slow path instead.
+  Rng rng(3);
+  std::vector<std::complex<T>> amps(pow2(kQubits));
+  for (auto& a : amps) {
+    a = {static_cast<T>(rng.normal() / 1448.0),
+         static_cast<T>(rng.normal() / 1448.0)};
+  }
+  std::vector<double> ns;  // fastest of kReps sweeps, per amplitude
+  for (const auto& [lo, hi] : pairs) {
+    kernels.apply_2q_dense(amps.data(), kQubits, lo, hi, dft, nullptr);
+    bench::StageTimer stage(strfmt("kernel_rate.%s.%s.q%u_%u", precision,
+                                   sim::isa_name(isa), lo, hi));
+    double best = 0;
+    for (int r = 0; r < kReps; ++r) {
+      WallTimer timer;
+      kernels.apply_2q_dense(amps.data(), kQubits, lo, hi, dft, nullptr);
+      const double t = timer.seconds();
+      best = r == 0 ? t : std::min(best, t);
+    }
+    ns.push_back(best * 1e9 / static_cast<double>(amps.size()));
+  }
+  for (std::size_t i = 0; i < ns.size(); ++i) {
+    table.row({precision, sim::isa_name(isa),
+               std::to_string(pairs[i].first), std::to_string(pairs[i].second),
+               strfmt("%.2f", ns[i]), strfmt("%.2fx", ns[i] / ns.back())});
+  }
+}
+
+void report_kernel_rate() {
+  bench::subheading("apply_2q_dense rate by qubit position (20 qubits)");
+  bench::Table table({"precision", "isa", "q_lo", "q_hi", "ns/amp",
+                      "vs q_lo=10"});
+  for (int i = 0; i < sim::kNumIsas; ++i) {
+    const sim::Isa isa = static_cast<sim::Isa>(i);
+    if (sim::isa_supported(isa)) kernel_rate_rows<float>("fp32", isa, table);
+  }
+  for (int i = 0; i < sim::kNumIsas; ++i) {
+    const sim::Isa isa = static_cast<sim::Isa>(i);
+    if (sim::isa_supported(isa)) kernel_rate_rows<double>("fp64", isa, table);
+  }
+  table.print();
+  std::printf(
+      "expected shape: every row within 2x of its ISA's q_lo=10 row; a "
+      "lower qubit inside one vector (fp32 q_lo<2 on avx2, q_lo=0 on sse2 "
+      "and fp64 avx2) runs the in-register lane-flip path, not scalar.\n");
 }
 
 void report_angle_threshold() {
@@ -207,6 +276,7 @@ int main(int argc, char** argv) {
   bench::init_observability();
   report_fusion_sweep();
   report_isa_sweep();
+  report_kernel_rate();
   report_angle_threshold();
   report_perf_counters();
   benchmark::Initialize(&argc, argv);

@@ -33,11 +33,17 @@ struct VecD {
   void store(std::complex<double>* p) const {
     _mm256_storeu_pd(reinterpret_cast<double*>(p), v);
   }
-  static VecD zero() { return {_mm256_setzero_pd()}; }
-  VecD add(VecD o) const { return {_mm256_add_pd(v, o.v)}; }
 
   static Const cbroadcast(std::complex<double> c) {
     return {_mm256_set1_pd(c.real()), _mm256_set1_pd(c.imag())};
+  }
+  static Const lane_consts(const std::complex<double>* p) {
+    const __m256d c = _mm256_loadu_pd(reinterpret_cast<const double*>(p));
+    return {_mm256_movedup_pd(c), _mm256_permute_pd(c, 0xF)};
+  }
+  // Two lanes: bit is always 0, so swap the 128-bit halves.
+  VecD flip(unsigned /*bit*/) const {
+    return {_mm256_permute4x64_pd(v, 0x4E)};
   }
   __m256d swapped() const { return _mm256_permute_pd(v, 0x5); }
   VecD mul(Const c) const {
@@ -48,11 +54,6 @@ struct VecD {
   VecD fmadd(Const c, VecD acc) const {
     return {_mm256_fmaddsub_pd(v, c.re,
                                _mm256_fmaddsub_pd(swapped(), c.im, acc.v))};
-  }
-  VecD cmul(VecD o) const {
-    const __m256d b_re = _mm256_movedup_pd(o.v);
-    const __m256d b_im = _mm256_permute_pd(o.v, 0xF);
-    return {_mm256_fmaddsub_pd(v, b_re, _mm256_mul_pd(swapped(), b_im))};
   }
 };
 
@@ -70,11 +71,21 @@ struct VecF {
   void store(std::complex<float>* p) const {
     _mm256_storeu_ps(reinterpret_cast<float*>(p), v);
   }
-  static VecF zero() { return {_mm256_setzero_ps()}; }
-  VecF add(VecF o) const { return {_mm256_add_ps(v, o.v)}; }
 
   static Const cbroadcast(std::complex<float> c) {
     return {_mm256_set1_ps(c.real()), _mm256_set1_ps(c.imag())};
+  }
+  static Const lane_consts(const std::complex<float>* p) {
+    const __m256 c = _mm256_loadu_ps(reinterpret_cast<const float*>(p));
+    return {_mm256_moveldup_ps(c), _mm256_movehdup_ps(c)};
+  }
+  // Lane j <-> j ^ (1 << bit) is float slot f <-> f ^ (2 << bit): one
+  // cross-lane permute for either bit.
+  VecF flip(unsigned bit) const {
+    const __m256i idx =
+        _mm256_xor_si256(_mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+                         _mm256_set1_epi32(2 << bit));
+    return {_mm256_permutevar8x32_ps(v, idx)};
   }
   __m256 swapped() const { return _mm256_permute_ps(v, 0xB1); }
   VecF mul(Const c) const {
@@ -83,11 +94,6 @@ struct VecF {
   VecF fmadd(Const c, VecF acc) const {
     return {_mm256_fmaddsub_ps(v, c.re,
                                _mm256_fmaddsub_ps(swapped(), c.im, acc.v))};
-  }
-  VecF cmul(VecF o) const {
-    const __m256 b_re = _mm256_moveldup_ps(o.v);
-    const __m256 b_im = _mm256_movehdup_ps(o.v);
-    return {_mm256_fmaddsub_ps(v, b_re, _mm256_mul_ps(swapped(), b_im))};
   }
 };
 

@@ -32,11 +32,12 @@ struct VecD {
   void store(std::complex<double>* p) const {
     _mm_storeu_pd(reinterpret_cast<double*>(p), v);
   }
-  static VecD zero() { return {_mm_setzero_pd()}; }
-  VecD add(VecD o) const { return {_mm_add_pd(v, o.v)}; }
 
   static Const cbroadcast(std::complex<double> c) {
     return {_mm_set1_pd(c.real()), _mm_set1_pd(c.imag())};
+  }
+  static Const lane_consts(const std::complex<double>* p) {
+    return cbroadcast(*p);
   }
   __m128d swapped() const { return _mm_shuffle_pd(v, v, 0x1); }
   // addsub(a, b) = (a0 - b0, a1 + b1): flip sign of b's real lane, add.
@@ -48,11 +49,6 @@ struct VecD {
   }
   VecD fmadd(Const c, VecD acc) const {
     return {_mm_add_pd(acc.v, mul(c).v)};
-  }
-  VecD cmul(VecD o) const {
-    const __m128d b_re = _mm_shuffle_pd(o.v, o.v, 0x0);
-    const __m128d b_im = _mm_shuffle_pd(o.v, o.v, 0x3);
-    return {addsub(_mm_mul_pd(v, b_re), _mm_mul_pd(swapped(), b_im))};
   }
 };
 
@@ -70,11 +66,18 @@ struct VecF {
   void store(std::complex<float>* p) const {
     _mm_storeu_ps(reinterpret_cast<float*>(p), v);
   }
-  static VecF zero() { return {_mm_setzero_ps()}; }
-  VecF add(VecF o) const { return {_mm_add_ps(v, o.v)}; }
 
   static Const cbroadcast(std::complex<float> c) {
     return {_mm_set1_ps(c.real()), _mm_set1_ps(c.imag())};
+  }
+  static Const lane_consts(const std::complex<float>* p) {
+    const __m128 c = _mm_loadu_ps(reinterpret_cast<const float*>(p));
+    return {_mm_shuffle_ps(c, c, _MM_SHUFFLE(2, 2, 0, 0)),
+            _mm_shuffle_ps(c, c, _MM_SHUFFLE(3, 3, 1, 1))};
+  }
+  // Two lanes: bit is always 0, so swap the two complex values.
+  VecF flip(unsigned /*bit*/) const {
+    return {_mm_shuffle_ps(v, v, _MM_SHUFFLE(1, 0, 3, 2))};
   }
   __m128 swapped() const {
     return _mm_shuffle_ps(v, v, _MM_SHUFFLE(2, 3, 0, 1));
@@ -87,11 +90,6 @@ struct VecF {
   }
   VecF fmadd(Const c, VecF acc) const {
     return {_mm_add_ps(acc.v, mul(c).v)};
-  }
-  VecF cmul(VecF o) const {
-    const __m128 b_re = _mm_shuffle_ps(o.v, o.v, _MM_SHUFFLE(2, 2, 0, 0));
-    const __m128 b_im = _mm_shuffle_ps(o.v, o.v, _MM_SHUFFLE(3, 3, 1, 1));
-    return {addsub(_mm_mul_ps(v, b_re), _mm_mul_ps(swapped(), b_im))};
   }
 };
 

@@ -1,8 +1,8 @@
 // Cross-checks every compiled ISA kernel variant against the scalar
 // reference loops on randomized states — all gate classes, every qubit
-// position (to hit the below-vector-width fast paths), states smaller
-// than one vector, and pool-chunked sweeps whose range boundaries land
-// mid-vector.
+// position (to hit the below-vector-width paths), states smaller than one
+// vector, and pooled sweeps large enough that the pool really splits them
+// (chunk edges of per-pair ranges then land mid-vector).
 #include <gtest/gtest.h>
 
 #include <complex>
@@ -10,6 +10,7 @@
 
 #include "qgear/common/rng.hpp"
 #include "qgear/common/thread_pool.hpp"
+#include "qgear/obs/metrics.hpp"
 #include "qgear/sim/fused.hpp"
 #include "qgear/sim/fusion.hpp"
 #include "qgear/sim/isa.hpp"
@@ -83,12 +84,19 @@ std::vector<std::complex<double>> random_cvec(std::size_t len,
 
 /// Runs `sweep(table, amps, pool)` under every compiled ISA (serial and
 /// pooled) and checks the result against the scalar table's serial run.
+/// ThreadPool::parallel_for runs ranges under 4,096 items inline, so the
+/// pooled run only splits for large n; `must_split` asserts through the
+/// threadpool.rounds counter that it did. With 3 workers the chunk edges
+/// of a split per-amplitude or per-pair range land mid-vector.
 template <typename T, typename Fn>
-void expect_all_isas_match(unsigned n, std::uint64_t seed, Fn sweep) {
+void expect_all_isas_match(unsigned n, std::uint64_t seed, Fn sweep,
+                           bool must_split = false) {
   const auto base = random_amps<T>(n, seed);
   auto expected = base;
   sweep(kernel_table_for<T>(Isa::scalar), expected.data(), nullptr);
-  ThreadPool pool(3);  // odd thread count → chunk edges land mid-vector
+  ThreadPool pool(3);
+  const obs::Counter& rounds =
+      obs::Registry::global().counter("threadpool.rounds");
   for (Isa isa : compiled_isas()) {
     const auto& table = kernel_table_for<T>(isa);
     auto serial = base;
@@ -96,9 +104,14 @@ void expect_all_isas_match(unsigned n, std::uint64_t seed, Fn sweep) {
     EXPECT_LE(max_diff(serial, expected), kTol<T>)
         << "serial isa=" << isa_name(isa) << " n=" << n;
     auto pooled = base;
+    const std::uint64_t rounds_before = rounds.value();
     sweep(table, pooled.data(), &pool);
     EXPECT_LE(max_diff(pooled, expected), kTol<T>)
         << "pooled isa=" << isa_name(isa) << " n=" << n;
+    if (must_split) {
+      EXPECT_GT(rounds.value(), rounds_before)
+          << "pooled run did not split, isa=" << isa_name(isa) << " n=" << n;
+    }
   }
 }
 
@@ -167,6 +180,56 @@ void check_all_kernels(unsigned n) {
   }
 }
 
+/// Pooled sweeps at n = 15, where every range (per amplitude, pair,
+/// group or vector) has at least 4,096 items and so splits: the 1q and
+/// controlled kernels at qubits {0, 1, 2, 14}, and apply_2q_dense with
+/// lower qubit 0, 1 or 2, inside one vector or just above it on every ISA.
+template <typename T>
+void check_pooled_kernels() {
+  constexpr unsigned n = 15;
+  constexpr bool kSplit = true;
+  const unsigned positions[] = {0, 1, 2, 14};
+  for (unsigned q : positions) {
+    const auto m = random_mat2(700 + q);
+    expect_all_isas_match<T>(
+        n, 701 + q,
+        [&](const KernelTable<T>& t, std::complex<T>* amps,
+            ThreadPool* pool) { t.apply_1q(amps, n, q, m, pool); },
+        kSplit);
+    expect_all_isas_match<T>(
+        n, 702 + q,
+        [&](const KernelTable<T>& t, std::complex<T>* amps,
+            ThreadPool* pool) {
+          t.apply_1q_diagonal(amps, n, q, std::complex<T>(T(0.6), T(-0.8)),
+                              std::complex<T>(T(-0.28), T(0.96)), pool);
+        },
+        kSplit);
+    for (unsigned c : positions) {
+      if (c == q) continue;
+      expect_all_isas_match<T>(
+          n, 703 + c * n + q,
+          [&](const KernelTable<T>& t, std::complex<T>* amps,
+              ThreadPool* pool) {
+            t.apply_controlled_1q(amps, n, c, q, m, pool);
+          },
+          kSplit);
+    }
+  }
+  for (unsigned lo : {0u, 1u, 2u}) {
+    for (unsigned hi : {1u, 2u, 8u, 14u}) {
+      if (lo >= hi) continue;
+      const auto m4 = random_cvec(16, 800 + lo * n + hi);
+      expect_all_isas_match<T>(
+          n, 801 + lo * n + hi,
+          [&](const KernelTable<T>& t, std::complex<T>* amps,
+              ThreadPool* pool) {
+            t.apply_2q_dense(amps, n, lo, hi, m4, pool);
+          },
+          kSplit);
+    }
+  }
+}
+
 template <typename T>
 void check_multi_kernels(unsigned n, const std::vector<unsigned>& qubits) {
   const unsigned m = static_cast<unsigned>(qubits.size());
@@ -210,6 +273,11 @@ TEST(KernelsSimd, AllIsasMatchScalarDouble) {
 
 TEST(KernelsSimd, AllIsasMatchScalarFloat) {
   for (unsigned n = 1; n <= 8; ++n) check_all_kernels<float>(n);
+}
+
+TEST(KernelsSimd, PooledSweepsSplitAndMatchScalar) {
+  check_pooled_kernels<double>();
+  check_pooled_kernels<float>();
 }
 
 TEST(KernelsSimd, MultiQubitKernelsMatchScalar) {
