@@ -198,10 +198,8 @@ struct ExchangeRound {
 
 /// The chunked exchange: every round is posted up front — NVLink-domain
 /// rounds first and wide, inter-node rounds chunk-pipelined behind them —
-/// and incoming chunks are drained from any peer in any order. The
-/// non-blocking poll() lets the caller interleave compute with the tail of
-/// the exchange (compute/comm overlap); finish() drives the exchange to
-/// completion. A one-round exchange is a plain pairwise sendrecv.
+/// and finish() consumes incoming chunks from any peer in any order as
+/// they land. A one-round exchange is a plain pairwise sendrecv.
 ///
 /// Each chunk carries its byte offset in the message envelope, so the
 /// payload (and the CommTrace) is data only and lands in a buffer of its
@@ -223,24 +221,12 @@ class BatchExchange {
                 ResilienceOptions resilience = {});
 
   /// Posts every round's chunks, intra-domain rounds first. Buffered
-  /// sends return immediately; call poll()/wait()/finish() to drain.
+  /// sends return immediately; finish() drains.
   void post();
-
-  /// Drains every chunk already queued without blocking. Returns true if
-  /// at least one data chunk was consumed.
-  bool poll(const ConsumeFn& consume);
-
-  /// Blocks until at least one message arrives (consuming it) or — on the
-  /// resilient path — a receive deadline passes, in which case missing
-  /// chunks are re-requested. No-op when already done.
-  void wait(const ConsumeFn& consume);
 
   /// Drives the exchange to completion: drains all chunks and, when
   /// resilient, completes the per-peer DONE handshakes.
   void finish(const ConsumeFn& consume);
-
-  /// All expected chunks consumed (and, when resilient, all peers done).
-  bool done() const;
 
   /// Payload bytes this rank sent over `t` links, re-sends included.
   std::uint64_t sent_tier_bytes(Tier t) const {
@@ -267,6 +253,16 @@ class BatchExchange {
     bool sent_done = false;
     bool peer_done = false;
   };
+
+  /// Drains every chunk already queued without blocking. Returns true if
+  /// at least one data chunk was consumed.
+  bool poll(const ConsumeFn& consume);
+  /// Blocks until at least one message arrives (consuming it) or — on the
+  /// resilient path — a receive deadline passes, in which case missing
+  /// chunks are re-requested. No-op when already done.
+  void wait(const ConsumeFn& consume);
+  /// All expected chunks consumed (and, when resilient, all peers done).
+  bool done() const;
 
   void send_chunk(std::size_t r, std::uint64_t offset);
   /// Handles one received message (data or ctrl). Returns true for data.

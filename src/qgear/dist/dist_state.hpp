@@ -9,8 +9,8 @@
 //
 // Two schedules (see docs/DISTRIBUTED.md): apply_circuit, the per-gate
 // schedule above — the paper's nvidia-mgpu baseline and the oracle — and
-// apply_circuit_remapped, where slab swaps planned by dist/remap trade
-// global index bits for local ones so gate runs execute
+// apply_circuit_remapped, which walks a schedule compiled by dist/remap:
+// slab swaps trade global index bits for local ones so gate runs execute
 // communication-free as fused blocks. Every exchange of either schedule
 // is one comm::BatchExchange (run_exchange), whose chunks let the update
 // of chunk k overlap the delivery of chunk k+1; a ThreadPool is threaded
@@ -127,13 +127,13 @@ class DistStateVector {
   /// state. The slab splits into 2^k groups by the batch's local bits;
   /// round d > 0 trades group b^d (b = this rank's global-bit pattern over
   /// the batch) with the rank differing in exactly the global bits set in
-  /// d, so per-rank traffic is slab*(2^k-1)/2^k — vs k half-slabs for
-  /// sequential swaps. Rounds post NVLink-domain peers first; `overlap` is
-  /// invoked whenever no chunk is ready and should do one unit of
-  /// amplitude-free work, returning false when it has nothing left.
-  /// `tag` must be allocated uniformly across ranks.
-  void exchange_index_bit_swap(std::span<const SlabSwap> swaps, int tag,
-                               const std::function<bool()>& overlap = {});
+  /// d (compile_swap_batch), so per-rank traffic is slab*(2^k-1)/2^k — vs
+  /// k half-slabs for sequential swaps. Rounds post NVLink-domain peers
+  /// first. `tag` must be allocated uniformly across ranks.
+  void exchange_index_bit_swap(std::span<const SlabSwap> swaps, int tag) {
+    run_swap_batch(compile_swap_batch(swaps, num_qubits_, local_qubits_),
+                   tag);
+  }
 
   /// Physical index-bit position currently holding logical qubit q.
   /// Identity until apply_circuit_remapped installs a plan's final map.
@@ -169,15 +169,14 @@ class DistStateVector {
     stats_.seconds += timer.seconds();
   }
 
-  /// Executes a communication-avoiding RemapPlan (see dist/remap.hpp):
-  /// slab swaps re-base the layout between segments, each segment's
-  /// physical-qubit instructions run under the fusion planner, and logical
-  /// swap gates have already been absorbed into the plan's qubit map. The
-  /// plan's final logical→physical map is installed so gather() and
-  /// physical_qubit() resolve logical indices afterwards. The plan must
-  /// come from plan_remap on every rank (it is deterministic), so tag
-  /// allocation stays uniform.
-  void apply_circuit_remapped(const RemapPlan& plan, unsigned fusion_width,
+  /// Walks a compiled remap schedule (see dist/remap.hpp): each
+  /// segment's swap batch re-bases the layout, its fused runs go through
+  /// sim::run_fused_blocks and its other instructions through apply().
+  /// Logical swap gates are already absorbed into the plan's qubit map,
+  /// which is installed at the end so gather() and physical_qubit()
+  /// resolve logical indices. Every rank must walk the same schedule, so
+  /// tag allocation stays uniform.
+  void apply_circuit_remapped(const RemapSchedule& sched,
                               std::vector<unsigned>* measured = nullptr);
 
   /// Sum of local |amp|^2.
@@ -232,11 +231,6 @@ class DistStateVector {
                             static_cast<std::uint64_t>(kOpTagLimit));
   }
 
-  // The dispatch body of apply(); `tag` must have been allocated
-  // uniformly across ranks.
-  void apply_with_tag(const qiskit::Instruction& inst, int tag,
-                      std::vector<unsigned>* measured);
-
   void apply_local(const qiskit::Instruction& inst,
                    std::vector<unsigned>* measured) {
     const unsigned sweeps = sim::apply_instruction(
@@ -285,11 +279,13 @@ class DistStateVector {
 
   // Every slab exchange runs here: the legs go out as one BatchExchange
   // under this rank's resilience options, each received chunk is handed
-  // to `consume`, `overlap` (when set) fills the waits, and the bytes sent
-  // are booked per tier. `tag` must be allocated uniformly across ranks.
+  // to `consume`, and the bytes sent are booked per tier. `tag` must be
+  // allocated uniformly across ranks.
   void run_exchange(std::vector<comm::ExchangeRound> legs, int tag,
-                    const ChunkFn& consume,
-                    const std::function<bool()>& overlap = {});
+                    const ChunkFn& consume);
+
+  // exchange_index_bit_swap's body, on an already compiled batch.
+  void run_swap_batch(const SwapBatch& batch, int tag);
 
   // A per-gate exchange: trades `mine` with `partner` as a one-round
   // batch and calls update(j, theirs_j) for every amplitude index j of
@@ -327,11 +323,11 @@ class DistStateVector {
 
 template <typename T>
 void DistStateVector<T>::run_exchange(std::vector<comm::ExchangeRound> legs,
-                                      int tag, const ChunkFn& consume,
-                                      const std::function<bool()>& overlap) {
+                                      int tag, const ChunkFn& consume) {
   comm::BatchExchange ex(*comm_, tag, std::move(legs), exchange_resilience_);
-  const auto on_chunk = [&](std::size_t r, std::uint64_t off_bytes,
-                            std::span<const std::uint8_t> payload) {
+  ex.post();
+  ex.finish([&](std::size_t r, std::uint64_t off_bytes,
+                std::span<const std::uint8_t> payload) {
     QGEAR_CHECK_FORMAT(off_bytes % sizeof(amp_t) == 0 &&
                            payload.size() % sizeof(amp_t) == 0,
                        "dist: exchange chunk not amplitude-aligned");
@@ -345,14 +341,7 @@ void DistStateVector<T>::run_exchange(std::vector<comm::ExchangeRound> legs,
     consume(r, off_bytes / sizeof(amp_t),
             {reinterpret_cast<const amp_t*>(payload.data()),
              payload.size() / sizeof(amp_t)});
-  };
-  ex.post();
-  while (!ex.done()) {
-    if (ex.poll(on_chunk)) continue;
-    // Nothing landed: hide amplitude-free work in the exchange tail.
-    if (overlap && overlap()) continue;
-    ex.wait(on_chunk);
-  }
+  });
   for (std::size_t t = 0; t < comm::kNumTiers; ++t) {
     const std::uint64_t sent =
         ex.sent_tier_bytes(static_cast<comm::Tier>(t));
@@ -412,30 +401,9 @@ void DistStateVector<T>::exchange_apply_controlled_local_control(
 }
 
 template <typename T>
-void DistStateVector<T>::exchange_index_bit_swap(
-    std::span<const SlabSwap> swaps, int tag,
-    const std::function<bool()>& overlap) {
-  QGEAR_CHECK_ARG(!swaps.empty(), "dist: empty index-bit-swap batch");
-  std::vector<SlabSwap> ps(swaps.begin(), swaps.end());
-  std::sort(ps.begin(), ps.end(),
-            [](const SlabSwap& a, const SlabSwap& b) {
-              return a.local_phys < b.local_phys;
-            });
+void DistStateVector<T>::run_swap_batch(const SwapBatch& batch, int tag) {
+  const std::vector<SlabSwap>& ps = batch.swaps;
   const unsigned k = static_cast<unsigned>(ps.size());
-  QGEAR_CHECK_ARG(k <= local_qubits_ && k <= global_qubits_,
-                  "dist: index-bit-swap batch wider than the layout");
-  for (unsigned i = 0; i < k; ++i) {
-    QGEAR_CHECK_ARG(ps[i].local_phys < local_qubits_ &&
-                        ps[i].global_phys >= local_qubits_ &&
-                        ps[i].global_phys < num_qubits_,
-                    "dist: index-bit-swap pair out of range");
-    QGEAR_CHECK_ARG(i == 0 || ps[i].local_phys != ps[i - 1].local_phys,
-                    "dist: duplicate local bit in index-bit-swap batch");
-    for (unsigned j = 0; j < i; ++j) {
-      QGEAR_CHECK_ARG(ps[j].global_phys != ps[i].global_phys,
-                      "dist: duplicate global bit in index-bit-swap batch");
-    }
-  }
   obs::Span span(obs::Tracer::global(), "dist.exchange_batch", "dist");
   if (span.active()) {
     span.arg("rank", std::uint64_t{unsigned(rank_)});
@@ -479,11 +447,8 @@ void DistStateVector<T>::exchange_index_bit_swap(
     sweep(group_size, [&](std::uint64_t lo, std::uint64_t hi) {
       for (std::uint64_t j = lo; j < hi; ++j) buf[j] = amps_[expand(j, v)];
     });
-    std::uint64_t gmask = 0;
-    for (unsigned i = 0; i < k; ++i) {
-      if ((d >> i) & 1u) gmask |= pow2(ps[i].global_phys - local_qubits_);
-    }
-    rounds.push_back(leg(rank_ ^ static_cast<int>(gmask), buf));
+    rounds.push_back(
+        leg(rank_ ^ static_cast<int>(batch.peer_masks[d - 1]), buf));
     group_of_round.push_back(v);
   }
 
@@ -496,8 +461,7 @@ void DistStateVector<T>::exchange_index_bit_swap(
             amps_[expand(first + j, v)] = theirs[j];
           }
         });
-      },
-      overlap);
+      });
   ++stats_.sweeps;
   stats_.amp_ops += amps_.size() - group_size;
 }
@@ -505,16 +469,10 @@ void DistStateVector<T>::exchange_index_bit_swap(
 template <typename T>
 void DistStateVector<T>::apply(const qiskit::Instruction& inst,
                                std::vector<unsigned>* measured) {
+  using qiskit::GateKind;
   // Allocated on every rank for every instruction, so matched exchanges
   // always agree on the tag even when only a subset of ranks communicates.
-  apply_with_tag(inst, next_tag(), measured);
-}
-
-template <typename T>
-void DistStateVector<T>::apply_with_tag(const qiskit::Instruction& inst,
-                                        int tag,
-                                        std::vector<unsigned>* measured) {
-  using qiskit::GateKind;
+  const int tag = next_tag();
   ++stats_.gates;
 
   switch (inst.kind) {
@@ -631,87 +589,31 @@ void DistStateVector<T>::apply_with_tag(const qiskit::Instruction& inst,
 
 template <typename T>
 void DistStateVector<T>::apply_circuit_remapped(
-    const RemapPlan& plan, unsigned fusion_width,
-    std::vector<unsigned>* measured) {
-  QGEAR_CHECK_ARG(plan.num_qubits == num_qubits_,
+    const RemapSchedule& sched, std::vector<unsigned>* measured) {
+  QGEAR_CHECK_ARG(sched.plan.num_qubits == num_qubits_,
                   "dist: plan qubit count mismatch");
-  QGEAR_CHECK_ARG(plan.num_local == local_qubits_,
+  QGEAR_CHECK_ARG(sched.plan.num_local == local_qubits_,
                   "dist: plan local qubit count mismatch");
-  QGEAR_CHECK_ARG(fusion_width >= 1, "dist: fusion width must be >= 1");
   obs::Span span(obs::Tracer::global(), "dist.apply_circuit_remapped",
                  "dist");
   if (span.active()) {
     span.arg("rank", std::uint64_t{unsigned(rank_)});
-    span.arg("slab_swaps", plan.slab_swaps);
+    span.arg("slab_swaps", sched.plan.slab_swaps);
   }
   WallTimer timer;
-  const unsigned width = std::min(fusion_width, local_qubits_);
-
-  for (const RemapSegment& seg : plan.segments) {
-    // Partition the segment into maximal local-unitary runs (fused) and
-    // the non-local instructions between them. A run marker (run >= 0)
-    // stands where the run executes; non-local instructions carry inst.
-    struct Item {
-      int run = -1;
-      const qiskit::Instruction* inst = nullptr;
-    };
-    std::vector<qiskit::QuantumCircuit> runs;
-    std::vector<Item> items;
-    bool open = false;
-    for (const qiskit::Instruction& inst : seg.insts) {
-      const qiskit::GateInfo& info = qiskit::gate_info(inst.kind);
-      const bool local_unitary =
-          info.unitary && info.num_qubits >= 1 &&
-          static_cast<unsigned>(inst.q0) < local_qubits_ &&
-          (info.num_qubits < 2 ||
-           static_cast<unsigned>(inst.q1) < local_qubits_);
-      if (local_unitary) {
-        if (!open) {
-          runs.emplace_back(local_qubits_, "local_segment");
-          items.push_back({static_cast<int>(runs.size()) - 1, nullptr});
-          open = true;
-        }
-        runs.back().append(inst);
+  for (const ScheduleSegment& seg : sched.segments) {
+    // One tag covers the whole batch (allocated on every rank).
+    if (!seg.batch.swaps.empty()) run_swap_batch(seg.batch, next_tag());
+    for (const ScheduleStep& step : seg.steps) {
+      if (step.blocks.empty()) {
+        apply(step.inst, measured);
       } else {
-        items.push_back({-1, &inst});
-        open = false;
+        sim::run_fused_blocks<T>(amps_.data(), local_qubits_, step.blocks,
+                                 pool_, stats_);
       }
-    }
-
-    // Fusion planning is pure compute over the instruction stream (the
-    // expensive part is building each block's matrix) and never touches
-    // the amplitudes — so it doubles as the overlap work hidden in the
-    // exchange tail below.
-    std::vector<sim::FusionPlan> fplans(runs.size());
-    std::size_t built = 0;
-    const auto build_next = [&]() -> bool {
-      if (built >= runs.size()) return false;
-      fplans[built] = sim::plan_fusion(runs[built], {.max_width = width});
-      ++built;
-      return true;
-    };
-
-    if (!seg.swaps.empty()) {
-      // One tag covers the whole batch (allocated on every rank).
-      const int tag = next_tag();
-      exchange_index_bit_swap(seg.swaps, tag, build_next);
-    }
-    for (const Item& item : items) {
-      if (item.run >= 0) {
-        while (built <= static_cast<std::size_t>(item.run)) build_next();
-        for (const sim::FusedBlock& block : fplans[item.run].blocks) {
-          sim::apply_fused_block(amps_.data(), local_qubits_, block, pool_);
-          sim::count_fused_block(stats_, block, amps_.size());
-        }
-        // Tags stay uniform across ranks: one per instruction, always.
-        for (std::size_t g = 0; g < runs[item.run].size(); ++g) next_tag();
-        continue;
-      }
-      const int tag = next_tag();
-      apply_with_tag(*item.inst, tag, measured);
     }
   }
-  l2p_ = plan.logical_to_physical;
+  l2p_ = sched.plan.logical_to_physical;
   stats_.seconds += timer.seconds();
 }
 

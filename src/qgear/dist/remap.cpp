@@ -28,26 +28,6 @@ bool is_diagonal_1q(GateKind k) {
   }
 }
 
-// Does a physical-qubit instruction trigger a pairwise exchange under the
-// baseline schedule? Mirrors exchange_bytes_for's case analysis.
-bool triggers_exchange(const Instruction& inst, unsigned num_local) {
-  switch (inst.kind) {
-    case GateKind::barrier:
-    case GateKind::measure:
-    case GateKind::cz:
-    case GateKind::cp:
-      return false;
-    case GateKind::cx:
-      return static_cast<unsigned>(inst.q1) >= num_local;
-    case GateKind::swap:
-      return static_cast<unsigned>(inst.q0) >= num_local ||
-             static_cast<unsigned>(inst.q1) >= num_local;
-    default:
-      return !is_diagonal_1q(inst.kind) &&
-             static_cast<unsigned>(inst.q0) >= num_local;
-  }
-}
-
 // Exchange cost, in half-slab units per rank, that a *logical* instruction
 // would pay if logical qubit `q` sat on a global slot: 2 for a full-slab
 // 1q exchange, 1 for the half-slab cx path. Swap gates are elided by the
@@ -151,7 +131,7 @@ RemapPlan plan_remap_width(const qiskit::QuantumCircuit& qc,
     }
 
     Instruction inst = rewrite(ops[i]);
-    if (num_local < n && triggers_exchange(inst, num_local)) {
+    if (num_local < n && exchange_bytes_for(inst, n, num_local, 1) != 0) {
       // The qubit whose global position forces the exchange: the gate
       // target for cx, the operand itself for 1q unitaries.
       const unsigned offender_phys = static_cast<unsigned>(
@@ -285,6 +265,73 @@ RemapPlan plan_remap(const qiskit::QuantumCircuit& qc, unsigned num_local,
   }
   if (!have_best) best = plan_remap_width(qc, num_local, opts);
   return best;
+}
+
+SwapBatch compile_swap_batch(std::span<const SlabSwap> swaps,
+                             unsigned num_qubits, unsigned num_local) {
+  QGEAR_CHECK_ARG(!swaps.empty(), "dist: empty index-bit-swap batch");
+  SwapBatch batch{{swaps.begin(), swaps.end()}, {}};
+  std::vector<SlabSwap>& ps = batch.swaps;
+  std::sort(ps.begin(), ps.end(), [](const SlabSwap& a, const SlabSwap& b) {
+    return a.local_phys < b.local_phys;
+  });
+  const unsigned k = static_cast<unsigned>(ps.size());
+  QGEAR_CHECK_ARG(k <= num_local && k <= num_qubits - num_local,
+                  "dist: index-bit-swap batch wider than the layout");
+  for (unsigned i = 0; i < k; ++i) {
+    QGEAR_CHECK_ARG(ps[i].local_phys < num_local &&
+                        ps[i].global_phys >= num_local &&
+                        ps[i].global_phys < num_qubits,
+                    "dist: index-bit-swap pair out of range");
+    QGEAR_CHECK_ARG(i == 0 || ps[i].local_phys != ps[i - 1].local_phys,
+                    "dist: duplicate local bit in index-bit-swap batch");
+    for (unsigned j = 0; j < i; ++j) {
+      QGEAR_CHECK_ARG(ps[j].global_phys != ps[i].global_phys,
+                      "dist: duplicate global bit in index-bit-swap batch");
+    }
+  }
+  for (std::uint64_t d = 1; d < pow2(k); ++d) {
+    std::uint64_t mask = 0;
+    for (unsigned i = 0; i < k; ++i) {
+      if ((d >> i) & 1u) mask |= pow2(ps[i].global_phys - num_local);
+    }
+    batch.peer_masks.push_back(mask);
+  }
+  return batch;
+}
+
+RemapSchedule compile_schedule(RemapPlan plan, unsigned fusion_width) {
+  QGEAR_CHECK_ARG(fusion_width >= 1, "dist: fusion width must be >= 1");
+  const unsigned num_local = plan.num_local;
+  sim::FusionOptions fusion;
+  fusion.max_width = std::min(fusion_width, num_local);
+  RemapSchedule sched;
+  for (const RemapSegment& seg : plan.segments) {
+    ScheduleSegment& out = sched.segments.emplace_back();
+    if (!seg.swaps.empty()) {
+      out.batch = compile_swap_batch(seg.swaps, plan.num_qubits, num_local);
+    }
+    qiskit::QuantumCircuit run(num_local, "local_run");
+    const auto flush_run = [&] {
+      if (run.empty()) return;
+      out.steps.push_back({sim::plan_fusion(run, fusion).blocks, {}});
+      run = qiskit::QuantumCircuit(num_local, "local_run");
+    };
+    for (const Instruction& inst : seg.insts) {
+      const qiskit::GateInfo& info = qiskit::gate_info(inst.kind);
+      if (info.unitary && static_cast<unsigned>(inst.q0) < num_local &&
+          (info.num_qubits < 2 ||
+           static_cast<unsigned>(inst.q1) < num_local)) {
+        run.append(inst);
+        continue;
+      }
+      flush_run();
+      out.steps.push_back({{}, inst});
+    }
+    flush_run();
+  }
+  sched.plan = std::move(plan);
+  return sched;
 }
 
 std::uint64_t plan_exchange_bytes_total(const RemapPlan& plan,

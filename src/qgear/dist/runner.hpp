@@ -221,10 +221,13 @@ RunResult<T> run_distributed(const qiskit::QuantumCircuit& qc,
       qc.num_qubits() -
       log2_exact(static_cast<std::uint64_t>(opts.num_ranks));
 
-  // Planned once, outside the SPMD region: the plan is deterministic, so
-  // sharing one instance keeps every rank's tag sequence identical.
-  std::optional<RemapPlan> plan;
-  if (opts.remap) plan.emplace(plan_remap(qc, num_local));
+  // Planned and compiled once, outside the SPMD region: every rank walks
+  // this one schedule, so their tag sequences stay identical.
+  std::optional<RemapSchedule> sched;
+  if (opts.remap) {
+    sched.emplace(compile_schedule(plan_remap(qc, num_local),
+                                   std::max(opts.fusion_width, 1u)));
+  }
 
   comm::World world(opts.num_ranks);
   world.set_topology({.ranks_per_domain = opts.ranks_per_domain});
@@ -250,9 +253,8 @@ RunResult<T> run_distributed(const qiskit::QuantumCircuit& qc,
                                    sizeof(std::complex<T>));
     state.set_exchange_resilience(opts.exchange_resilience);
     std::vector<unsigned> measured;
-    if (plan) {
-      state.apply_circuit_remapped(*plan, std::max(opts.fusion_width, 1u),
-                                   &measured);
+    if (sched) {
+      state.apply_circuit_remapped(*sched, &measured);
     } else {
       state.apply_circuit(qc, &measured);
     }
@@ -292,9 +294,9 @@ RunResult<T> run_distributed(const qiskit::QuantumCircuit& qc,
   result.trace = world.trace();
   result.circuit_exchange_bytes = circuit_bytes;
   result.trace_id = run_ctx.trace_id;
-  if (plan) {
-    result.remap_slab_swaps = plan->slab_swaps;
-    result.remap_elided_swaps = plan->elided_swap_gates;
+  if (sched) {
+    result.remap_slab_swaps = sched->plan.slab_swaps;
+    result.remap_elided_swaps = sched->plan.elided_swap_gates;
   }
 
   // Per-rank observability rollup: exchange bytes come from the exact comm
@@ -319,8 +321,8 @@ RunResult<T> run_distributed(const qiskit::QuantumCircuit& qc,
   reg.counter("dist.runs").add();
   reg.counter("dist.exchange_bytes").add(result.trace.total_bytes);
   reg.counter("dist.messages").add(result.trace.entries.size());
-  if (plan) {
-    reg.counter("dist.remap_swaps").add(plan->slab_swaps);
+  if (sched) {
+    reg.counter("dist.remap_swaps").add(sched->plan.slab_swaps);
     const std::uint64_t baseline = schedule_exchange_bytes_total(
         qc, num_local, sizeof(std::complex<T>));
     if (baseline > circuit_bytes) {

@@ -1,5 +1,6 @@
 #include "qgear/perfmodel/model.hpp"
 
+#include <bit>
 #include <cmath>
 
 #include "qgear/circuits/random_blocks.hpp"
@@ -53,37 +54,16 @@ double exchange_time(std::uint64_t bytes, unsigned gbit, int pairs,
   return 0.0;
 }
 
-// Global-qubit level of the exchange an instruction triggers, or -1 if it
-// is communication-free. Mirrors dist::DistStateVector's case analysis.
-int exchange_gbit(const qiskit::Instruction& inst, unsigned num_local) {
-  using qiskit::GateKind;
-  const auto global = [num_local](int q) {
-    return static_cast<unsigned>(q) >= num_local;
-  };
-  switch (inst.kind) {
-    case GateKind::cx:
-      if (!global(inst.q1)) return -1;
-      return inst.q1 - static_cast<int>(num_local);
-    case GateKind::swap:
-      // Priced per decomposed cx below; treated directly here as the
-      // dominant target-global hop.
-      if (!global(inst.q0) && !global(inst.q1)) return -1;
-      return std::max(inst.q0, inst.q1) - static_cast<int>(num_local);
-    case GateKind::barrier:
-    case GateKind::measure:
-    case GateKind::z:
-    case GateKind::s:
-    case GateKind::sdg:
-    case GateKind::t:
-    case GateKind::tdg:
-    case GateKind::rz:
-    case GateKind::p:
-    case GateKind::cz:
-    case GateKind::cp:
-      return -1;
-    default:
-      return global(inst.q0) ? inst.q0 - static_cast<int>(num_local) : -1;
-  }
+// Global-qubit level of the exchange a gate with nonzero exchange bytes
+// triggers: the target of a cx, the higher operand of a swap (priced as
+// its dominant target-global hop), the operand of anything else.
+unsigned exchange_gbit(const qiskit::Instruction& inst, unsigned num_local) {
+  int q = inst.q0;
+  if (inst.kind == qiskit::GateKind::cx) q = inst.q1;
+  if (inst.kind == qiskit::GateKind::swap) q = std::max(inst.q0, inst.q1);
+  const int gbit = q - static_cast<int>(num_local);
+  QGEAR_ENSURES(gbit >= 0);
+  return static_cast<unsigned>(gbit);
 }
 
 double container_startup(const ClusterConfig& config) {
@@ -128,90 +108,53 @@ Estimate estimate_gpu(const qiskit::QuantumCircuit& qc,
     return e;
   }
 
+  // All pairs exchange concurrently; wall time is one pair's time plus
+  // any shared-spine serialization.
+  const auto price_exchange = [&](std::uint64_t bytes, unsigned gbit) {
+    e.comm_bytes_per_device += bytes;
+    e.comm_s += exchange_time(bytes, gbit, config.devices / 2, config.net);
+  };
+  const auto price_gate = [&](const qiskit::Instruction& inst) {
+    const std::uint64_t bytes =
+        dist::exchange_bytes_for(inst, n, num_local, amp_b);
+    if (bytes != 0) price_exchange(bytes, exchange_gbit(inst, num_local));
+  };
+
   if (config.remap && r > 0) {
-    // Walk the communication-avoiding plan the real engine executes:
-    // half-slab index-bit swaps replace per-gate exchanges, local runs
-    // fuse segment-wise, and elided swap gates cost nothing.
-    const dist::RemapPlan rplan = dist::plan_remap(qc, num_local);
-    qiskit::QuantumCircuit run(num_local, "model_segment");
-    auto flush_run = [&] {
-      if (run.empty()) return;
-      const sim::FusionPlan fp = sim::plan_fusion(
-          run, {.max_width = std::min(config.fusion_width, num_local)});
-      e.sweeps += fp.blocks.size();
-      run = qiskit::QuantumCircuit(num_local, "model_segment");
-    };
-    for (const dist::RemapSegment& seg : rplan.segments) {
-      if (!seg.swaps.empty()) {
-        flush_run();
-        // A k-wide batch runs as one exchange: the slab splits into 2^k
-        // groups, one stays put, and round d = 1..2^k-1 trades one group
-        // with the peer across gmask(d). Each round's wall time is set by
-        // the slowest link its mask crosses — the highest global bit.
-        const unsigned k = static_cast<unsigned>(seg.swaps.size());
-        const std::uint64_t group_bytes = local_bytes >> k;
+    // Price the compiled schedule the engine runs (dist/remap). The
+    // sweeps are the busiest rank's, the one whose global bits are all 1.
+    const dist::RemapSchedule sched = dist::compile_schedule(
+        dist::plan_remap(qc, num_local), config.fusion_width);
+    for (const dist::ScheduleSegment& seg : sched.segments) {
+      const dist::SwapBatch& batch = seg.batch;
+      if (!batch.swaps.empty()) {
         // Gather + scatter touch the traded groups once each: one sweep
-        // regardless of batch width.
+        // regardless of batch width. Each round trades one of the 2^k
+        // slab groups at the slowest link its peer mask crosses, the
+        // highest global bit.
         ++e.sweeps;
-        for (std::uint64_t d = 1; d < pow2(k); ++d) {
-          unsigned gbit = 0;
-          for (unsigned i = 0; i < k; ++i) {
-            if ((d >> i) & 1) {
-              gbit = std::max(gbit, seg.swaps[i].global_phys - num_local);
-            }
-          }
-          e.comm_bytes_per_device += group_bytes;
-          e.comm_s += exchange_time(group_bytes, gbit, config.devices / 2,
-                                    config.net);
+        for (const std::uint64_t mask : batch.peer_masks) {
+          price_exchange(local_bytes >> batch.swaps.size(),
+                         static_cast<unsigned>(std::bit_width(mask)) - 1);
         }
       }
-      for (const qiskit::Instruction& inst : seg.insts) {
-        if (inst.kind == qiskit::GateKind::barrier ||
-            inst.kind == qiskit::GateKind::measure) {
-          continue;
+      for (const dist::ScheduleStep& step : seg.steps) {
+        if (!step.blocks.empty()) {
+          e.sweeps += step.blocks.size();
+        } else if (qiskit::gate_info(step.inst.kind).unitary) {
+          ++e.sweeps;  // diagonal factor sweep or exchange update
+          price_gate(step.inst);
         }
-        const qiskit::GateInfo& info = qiskit::gate_info(inst.kind);
-        const bool local_unitary =
-            info.unitary && static_cast<unsigned>(inst.q0) < num_local &&
-            (info.num_qubits < 2 ||
-             static_cast<unsigned>(inst.q1) < num_local);
-        if (local_unitary) {
-          run.append(inst);
-          continue;
-        }
-        flush_run();
-        ++e.sweeps;  // diagonal factor sweep or exchange update
-        const std::uint64_t bytes =
-            dist::exchange_bytes_for(inst, n, num_local, amp_b);
-        if (bytes == 0) continue;
-        const int gbit = exchange_gbit(inst, num_local);
-        QGEAR_ENSURES(gbit >= 0);
-        e.comm_bytes_per_device += bytes;
-        e.comm_s += exchange_time(bytes, static_cast<unsigned>(gbit),
-                                  config.devices / 2, config.net);
       }
     }
-    flush_run();
   } else {
     // Sweep count from the real fusion planner (cheap: walks the gate
-    // list).
-    const sim::FusionPlan plan =
-        sim::plan_fusion(qc, {.max_width = config.fusion_width});
-    e.sweeps = plan.blocks.size();
-
-    // Communication: walk the exact per-gate schedule.
+    // list); communication from the exact per-gate schedule.
+    e.sweeps =
+        sim::plan_fusion(qc, {.max_width = config.fusion_width}).blocks.size();
     if (r > 0) {
       for (const qiskit::Instruction& inst : qc.instructions()) {
-        const std::uint64_t bytes =
-            dist::exchange_bytes_for(inst, n, num_local, amp_b);
-        if (bytes == 0) continue;
-        const int gbit = exchange_gbit(inst, num_local);
-        QGEAR_ENSURES(gbit >= 0);
-        e.comm_bytes_per_device += bytes;
-        // All pairs exchange concurrently; wall time is one pair's time
-        // plus any shared-spine serialization.
-        e.comm_s += exchange_time(bytes, static_cast<unsigned>(gbit),
-                                  config.devices / 2, config.net);
+        price_gate(inst);
       }
     }
   }

@@ -29,9 +29,8 @@ struct ClusterConfig {
   core::Precision precision = core::Precision::fp32;
   unsigned fusion_width = 5;
   bool include_container_start = true;
-  /// Price the communication-avoiding remapped schedule (dist/remap):
-  /// slab swaps at half-slab cost instead of per-gate exchanges, sweeps
-  /// from segment-wise fusion plus one per swap/residual exchange.
+  /// Price the communication-avoiding remapped schedule: the one
+  /// dist::compile_schedule builds and the distributed engine runs.
   bool remap = false;
 };
 
@@ -69,7 +68,8 @@ struct Estimate {
 };
 
 /// Prices `qc` on a GPU cluster. Walks the real instruction list: fusion
-/// plan for sweep counts, per-gate schedule for communication.
+/// plan for sweep counts, per-gate schedule for communication — or, with
+/// `remap`, the compiled remap schedule for both.
 Estimate estimate_gpu(const qiskit::QuantumCircuit& qc,
                       const ClusterConfig& config, std::uint64_t shots = 0);
 

@@ -19,7 +19,6 @@
 #include "qgear/obs/trace.hpp"
 #include "qgear/qh5/file.hpp"
 #include "qgear/qiskit/fingerprint.hpp"
-#include "qgear/route/route.hpp"
 #include "qgear/sim/fused.hpp"
 #include "qgear/sim/state.hpp"
 
@@ -196,18 +195,11 @@ JobTicket SimService::submit(JobSpec spec) {
   state->backend =
       state->spec.backend.empty() ? opts_.backend : state->spec.backend;
   if (state->backend == "auto") {
-    // Placement policy: the router picks backend × precision × fusion
-    // width under the service memory budget and accuracy bound. Runs in
-    // the admit trace scope, so the route.plan span (and its route.*
-    // counters) nest under this request's trace id.
-    route::Budget budget;
-    budget.memory_bytes = opts_.memory_budget_bytes;
-    budget.max_error = opts_.route_max_error;
-    route::RouteOptions ro;
-    ro.calibration = opts_.calibration;
-    ro.base = backend_options();
-    const route::Placement placement =
-        route::plan(state->spec.circuit, budget, ro);
+    // Placement policy: the router picks backend × precision under the
+    // service memory budget and accuracy bound. Runs in the admit trace
+    // scope, so the route.plan span (and its route.* counters) nest under
+    // this request's trace id.
+    const route::Placement placement = place(*state);
     if (!placement.feasible) {
       rejected_counter(RejectReason::memory_budget).add();
       return JobTicket(RejectReason::memory_budget);
@@ -261,18 +253,7 @@ JobTicket SimService::submit(JobSpec spec) {
   // same currency the latency SLO is written in, and a dd/mps job that
   // finishes in milliseconds no longer pays a statevector-sized share.
   state->cost = std::max(state->est_seconds, 1e-9);
-  // Segment checkpointing applies to the fused (plan-shaped) path only;
-  // other engines have no state snapshot at a block boundary.
-  if (opts_.checkpoint_every > 0 && state->backend == "fused") {
-    namespace fs = std::filesystem;
-    const fs::path dir = opts_.checkpoint_dir.empty()
-                             ? fs::temp_directory_path()
-                             : fs::path(opts_.checkpoint_dir);
-    state->checkpoint_path =
-        (dir / strfmt("qgear_ckpt_%p_%llu.qh5", static_cast<const void*>(this),
-                      static_cast<unsigned long long>(state->id)))
-            .string();
-  }
+  sync_checkpoint_path(*state);
   state->submit_time = Clock::now();
   state->last_enqueue = state->submit_time;
   if (state->spec.queue_deadline_s > 0) {
@@ -428,9 +409,8 @@ bool SimService::process(FairScheduler::Popped popped) {
 
     WallTimer exec_timer;
     const bool ran_to_completion =
-        job.precision == "fp64"
-            ? execute_plan<double>(job, *compiled, &result.stats, &result)
-            : execute_plan<float>(job, *compiled, &result.stats, &result);
+        job.precision == "fp64" ? execute_plan<double>(job, *compiled, &result)
+                                : execute_plan<float>(job, *compiled, &result);
     result.execute_s = exec_timer.seconds();
     if (ran_to_completion) {
       result.status = JobStatus::completed;
@@ -456,39 +436,43 @@ bool SimService::process(FairScheduler::Popped popped) {
 
 template <typename T>
 bool SimService::execute_plan(JobState& job, const CompiledCircuit& compiled,
-                              sim::EngineStats* stats, JobResult* result) {
+                              JobResult* result) {
   sim::StateVector<T> state(compiled.num_qubits);
+  const std::span<const sim::FusedBlock> blocks(compiled.plan.blocks);
   // A retried attempt resumes from the last segment checkpoint instead of
   // recomputing every block it already swept.
-  std::size_t start_block = 0;
+  std::size_t start = 0;
   if (job.attempt > 0 && !job.checkpoint_path.empty()) {
-    start_block = static_cast<std::size_t>(
-        try_restore_checkpoint<T>(job, &state));
-    result->checkpoint_blocks = start_block;
+    start = std::min<std::size_t>(try_restore_checkpoint<T>(job, &state),
+                                  blocks.size());
+    result->checkpoint_blocks = start;
   }
-  const auto& blocks = compiled.plan.blocks;
   WallTimer timer;
-  for (std::size_t i = start_block; i < blocks.size(); ++i) {
-    // Cooperative cancellation/timeout: checked between fused blocks, the
-    // natural preemption granularity of an amplitude-sweep engine.
-    if (job.cancel_requested.load(std::memory_order_relaxed)) return false;
-    if (job.has_timeout() && Clock::now() > job.timeout_at) return false;
-    // Fault site: synthetic memory-budget exhaustion mid-execution, the
-    // trigger for backend degradation (and checkpoint-resumed retries).
-    fault::maybe_throw_oom("serve fused block");
-    const sim::FusedBlock& block = blocks[i];
-    sim::apply_fused_block(state.data(), state.num_qubits(), block,
-                           /*pool=*/nullptr);
-    sim::count_fused_block(*stats, block, state.size());
-    // Segment checkpoint every N blocks (never after the last one — the
-    // job is about to finish and the file would be deleted immediately).
-    if (!job.checkpoint_path.empty() && opts_.checkpoint_every > 0 &&
-        (i + 1) % opts_.checkpoint_every == 0 && i + 1 < blocks.size()) {
-      save_checkpoint<T>(job, state, i + 1);
-    }
-  }
-  stats->seconds += timer.seconds();
-  return true;
+  const bool finished = sim::run_fused_blocks<T>(
+      state.data(), state.num_qubits(), blocks.subspan(start),
+      /*pool=*/nullptr, result->stats, [&](std::size_t i) {
+        // Segment checkpoint every N blocks done in this attempt. The
+        // hook runs before a block, so none follows the last block, whose
+        // job is about to finish and delete the file.
+        const std::size_t done = start + i;
+        if (i > 0 && !job.checkpoint_path.empty() &&
+            done % opts_.checkpoint_every == 0) {
+          save_checkpoint<T>(job, state, done);
+        }
+        // Cooperative cancellation/timeout: checked between fused blocks,
+        // the natural preemption granularity of an amplitude-sweep engine.
+        if (job.cancel_requested.load(std::memory_order_relaxed)) {
+          return false;
+        }
+        if (job.has_timeout() && Clock::now() > job.timeout_at) return false;
+        // Fault site: synthetic memory-budget exhaustion mid-execution,
+        // the trigger for backend degradation (and checkpoint-resumed
+        // retries).
+        fault::maybe_throw_oom("serve fused block");
+        return true;
+      });
+  result->stats.seconds += timer.seconds();
+  return finished;
 }
 
 sim::BackendOptions SimService::backend_options() const {
@@ -586,17 +570,43 @@ bool SimService::maybe_retry(const std::shared_ptr<JobState>& job,
   return true;
 }
 
-bool SimService::try_degrade(JobState& job) {
-  job.failed_backends.push_back(job.backend);
+route::Placement SimService::place(const JobState& job) const {
   route::Budget budget;
   budget.memory_bytes = opts_.memory_budget_bytes;
   budget.max_error = opts_.route_max_error;
   route::RouteOptions ro;
   ro.calibration = opts_.calibration;
   ro.base = backend_options();
+  // Priced at the one width the worker compiles at.
+  ro.fusion_widths = {opts_.fusion.max_width};
   ro.exclude_backends = job.failed_backends;
-  const route::Placement placement =
-      route::plan(job.spec.circuit, budget, ro);
+  return route::plan(job.spec.circuit, budget, ro);
+}
+
+void SimService::sync_checkpoint_path(JobState& job) {
+  // Segment checkpointing applies to the fused (plan-shaped) path only;
+  // other engines have no state snapshot at a block boundary.
+  const bool wanted = opts_.checkpoint_every > 0 && job.backend == "fused";
+  if (wanted == !job.checkpoint_path.empty()) return;
+  if (!wanted) {
+    remove_checkpoint(job);
+    job.checkpoint_path.clear();
+    job.checkpoint_blocks = 0;
+    return;
+  }
+  namespace fs = std::filesystem;
+  const fs::path dir = opts_.checkpoint_dir.empty()
+                           ? fs::temp_directory_path()
+                           : fs::path(opts_.checkpoint_dir);
+  job.checkpoint_path =
+      (dir / strfmt("qgear_ckpt_%p_%llu.qh5", static_cast<const void*>(this),
+                    static_cast<unsigned long long>(job.id)))
+          .string();
+}
+
+bool SimService::try_degrade(JobState& job) {
+  job.failed_backends.push_back(job.backend);
+  const route::Placement placement = place(job);
   if (!placement.feasible) return false;
   job.degraded = true;
   job.backend = placement.choice.config.backend;
@@ -604,23 +614,9 @@ bool SimService::try_degrade(JobState& job) {
   job.mem_bytes = placement.choice.mem_bytes;
   job.est_seconds = placement.choice.seconds;
   job.cost = std::max(job.est_seconds, 1e-9);
-  // Checkpointing follows the fused path: drop a stale checkpoint when
-  // degrading off it, start one when degrading onto it.
-  if (job.backend != "fused" && !job.checkpoint_path.empty()) {
-    remove_checkpoint(job);
-    job.checkpoint_path.clear();
-    job.checkpoint_blocks = 0;
-  } else if (job.backend == "fused" && job.checkpoint_path.empty() &&
-             opts_.checkpoint_every > 0) {
-    namespace fs = std::filesystem;
-    const fs::path dir = opts_.checkpoint_dir.empty()
-                             ? fs::temp_directory_path()
-                             : fs::path(opts_.checkpoint_dir);
-    job.checkpoint_path =
-        (dir / strfmt("qgear_ckpt_%p_%llu.qh5", static_cast<const void*>(this),
-                      static_cast<unsigned long long>(job.id)))
-            .string();
-  }
+  // Drops a stale checkpoint when degrading off the fused path, starts
+  // one when degrading onto it.
+  sync_checkpoint_path(job);
   return true;
 }
 

@@ -23,7 +23,7 @@
 //
 // Everything is instrumented through qgear::obs: serve.* counters and
 // latency histograms (queue wait / compile / execute / e2e), plus a
-// serve.job span per executed job.
+// serve.job span per executed job and a fused_block span per block run.
 #pragma once
 
 #include <condition_variable>
@@ -36,6 +36,7 @@
 
 #include "qgear/common/thread_pool.hpp"
 #include "qgear/route/calibration.hpp"
+#include "qgear/route/route.hpp"
 #include "qgear/serve/compile_cache.hpp"
 #include "qgear/serve/job.hpp"
 #include "qgear/serve/scheduler.hpp"
@@ -75,8 +76,8 @@ class SimService {
     /// Default execution backend for jobs whose JobSpec leaves `backend`
     /// empty. "fused" keeps the cached fused-block fast path; any other
     /// registered name executes through sim::Backend; "auto" routes each
-    /// job through route::plan (backend × precision × fusion width under
-    /// the memory budget and `route_max_error`).
+    /// job through route::plan (backend × precision, priced at
+    /// `fusion.max_width`, under the memory budget and `route_max_error`).
     std::string backend = "fused";
     /// Admission cap on a single job's backend memory_estimate, in bytes
     /// (0 = unlimited). The estimate is priced per backend — a dd/mps job
@@ -146,7 +147,7 @@ class SimService {
   bool process(FairScheduler::Popped popped);
   template <typename T>
   bool execute_plan(JobState& job, const CompiledCircuit& compiled,
-                    sim::EngineStats* stats, JobResult* result);
+                    JobResult* result);
   bool execute_backend(JobState& job, sim::EngineStats* stats);
   void finish(JobState& job, JobResult&& result);
   sim::BackendOptions backend_options() const;
@@ -158,6 +159,12 @@ class SimService {
                    const std::string& error, bool oom);
   /// Re-plans an OOM-failed job with its failed backends excluded.
   bool try_degrade(JobState& job);
+  /// Routes `job` under the service budget at the service's fusion width,
+  /// excluding the backends that already failed it.
+  route::Placement place(const JobState& job) const;
+  /// Gives a job on the fused path a checkpoint file and drops the stale
+  /// one of a job that left it (no-op with checkpointing off).
+  void sync_checkpoint_path(JobState& job);
   void retry_loop();
   void enqueue_retry(std::shared_ptr<JobState> job, Clock::time_point due);
   /// Completes every job still parked in the retry nurse as dropped.

@@ -7,6 +7,10 @@
 // behind the paper's GPU speedups.
 #pragma once
 
+#include <functional>
+#include <span>
+
+#include "qgear/common/bits.hpp"
 #include "qgear/common/timer.hpp"
 #include "qgear/obs/metrics.hpp"
 #include "qgear/obs/trace.hpp"
@@ -20,8 +24,7 @@ namespace qgear::sim {
 
 /// Applies one fused block via its cheapest kernel: diagonal blocks use
 /// the multiply-only sweep, permutation blocks (X/CX/SWAP runs) the
-/// O(2^m)-per-group shuffle, everything else the dense matvec. Shared by
-/// the fused engine and the distributed engine's local fusion path.
+/// O(2^m)-per-group shuffle, everything else the dense matvec.
 template <typename T>
 void apply_fused_block(std::complex<T>* amps, unsigned num_qubits,
                        const FusedBlock& block, ThreadPool* pool = nullptr) {
@@ -39,27 +42,47 @@ void apply_fused_block(std::complex<T>* amps, unsigned num_qubits,
   apply_multi(amps, num_qubits, block.qubits, block.matrix, pool);
 }
 
-/// Books one applied block into `stats`: one sweep over `amps`
-/// amplitudes, its kernel class, and the gates fused into it. Every
-/// engine that runs fused blocks (fused, dist's local segments, serve)
-/// counts through here.
-inline void count_fused_block(EngineStats& stats, const FusedBlock& block,
-                              std::uint64_t amps) {
-  switch (block.kernel_class) {
-    case KernelClass::diagonal:
-      ++stats.diag_blocks;
-      break;
-    case KernelClass::permutation:
-      ++stats.perm_blocks;
-      break;
-    case KernelClass::dense:
-      ++stats.dense_blocks;
-      break;
+/// The one loop that runs fused blocks, shared by the fused engine,
+/// dist's local runs and serve: applies `blocks` in order to the
+/// 2^num_qubits amplitudes at `amps`, books each into `stats` (one
+/// sweep, its kernel class, the gates fused into it) and traces it as a
+/// `fused_block` span. Before each block, `before(i)` (when set; i
+/// indexes `blocks`) may stop the run by returning false: serve hangs its
+/// cancel and timeout checks, segment checkpoints and `backend.oom` fault
+/// draw there. Returns whether every block ran.
+template <typename T>
+bool run_fused_blocks(std::complex<T>* amps, unsigned num_qubits,
+                      std::span<const FusedBlock> blocks, ThreadPool* pool,
+                      EngineStats& stats,
+                      const std::function<bool(std::size_t)>& before = {}) {
+  obs::Tracer& tracer = obs::Tracer::global();
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    if (before && !before(i)) return false;
+    const FusedBlock& block = blocks[i];
+    obs::Span block_span(tracer, "fused_block", "sim");
+    if (block_span.active()) {
+      block_span.arg("width", std::uint64_t{block.qubits.size()});
+      block_span.arg("gates", block.source_gates);
+      block_span.arg("kernel", kernel_class_name(block.kernel_class));
+    }
+    apply_fused_block(amps, num_qubits, block, pool);
+    switch (block.kernel_class) {
+      case KernelClass::diagonal:
+        ++stats.diag_blocks;
+        break;
+      case KernelClass::permutation:
+        ++stats.perm_blocks;
+        break;
+      case KernelClass::dense:
+        ++stats.dense_blocks;
+        break;
+    }
+    ++stats.sweeps;
+    ++stats.fused_blocks;
+    stats.amp_ops += pow2(num_qubits);
+    stats.gates += block.source_gates;
   }
-  ++stats.sweeps;
-  ++stats.fused_blocks;
-  stats.amp_ops += amps;
-  stats.gates += block.source_gates;
+  return true;
 }
 
 template <typename T>
@@ -96,23 +119,14 @@ class FusedEngine {
 
   /// Applies a pre-computed plan (lets callers amortize planning).
   void apply_plan(const FusionPlan& plan, StateVector<T>& state) {
-    obs::Tracer& tracer = obs::Tracer::global();
-    obs::Span sweep_span(tracer, "sweep", "sim");
+    obs::Span sweep_span(obs::Tracer::global(), "sweep", "sim");
     // Hardware counters (when obs::PerfCounters::set_enabled) cover the
     // whole sweep loop; the sample folds into stats_.perf on scope exit.
     obs::PerfScope perf_scope(&stats_.perf);
     const EngineStats before = stats_;
     WallTimer timer;
-    for (const FusedBlock& block : plan.blocks) {
-      obs::Span block_span(tracer, "fused_block", "sim");
-      if (block_span.active()) {
-        block_span.arg("width", std::uint64_t{block.qubits.size()});
-        block_span.arg("gates", block.source_gates);
-        block_span.arg("kernel", kernel_class_name(block.kernel_class));
-      }
-      apply_fused_block(state.data(), state.num_qubits(), block, opts_.pool);
-      count_fused_block(stats_, block, state.size());
-    }
+    run_fused_blocks<T>(state.data(), state.num_qubits(), plan.blocks,
+                        opts_.pool, stats_);
     stats_.seconds += timer.seconds();
 
     auto& reg = obs::Registry::global();

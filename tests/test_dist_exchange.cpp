@@ -1,9 +1,8 @@
 // Batched index-bit-swap exchange: equivalence against the sequential
 // schedule, analytic permutation checks, per-tier byte accounting, chunk
-// auto-sizing, and overlap correctness under injected comm faults.
+// auto-sizing, and correctness under injected comm faults.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <complex>
 #include <mutex>
 #include <random>
@@ -209,34 +208,10 @@ TEST(DistExchange, AutoChunkSizeTracksMessageSizeAndTier) {
   }
 }
 
-TEST(DistExchange, OverlapRunsInExchangeTail) {
-  // The overlap hook must run while the exchange drains and never after
-  // completion; the state must still be exact.
-  const std::vector<SlabSwap> swaps = {{0, 5}, {1, 6}};
-  std::atomic<int> overlap_calls{0};  // every rank's hook bumps it
-  const std::vector<amp_t> before =
-      run_exchange(8, 7, 5, [](DistStateVector<double>&) {});
-  const std::vector<amp_t> after =
-      run_exchange(8, 7, 5, [&](DistStateVector<double>& st) {
-        int budget = 3;
-        st.exchange_index_bit_swap(swaps, 41, [&] {
-          ++overlap_calls;
-          return --budget > 0;
-        });
-      });
-  const std::vector<amp_t> expect = permute_full_state(before, swaps);
-  for (std::uint64_t i = 0; i < after.size(); ++i) {
-    ASSERT_EQ(after[i], expect[i]) << "index=" << i;
-  }
-  // The hook may or may not fire (delivery can outrun the drain loop),
-  // but a fired hook respects its own budget.
-  EXPECT_LE(overlap_calls.load(), 8 * 3);
-}
-
 TEST(DistExchange, ResilientBatchSurvivesDropAndDelayFaults) {
   // comm.drop + comm.delay against the resilient protocol: every
   // chunk must still land (zero completion loss) and the state must be
-  // bit-exact, overlap hook active the whole time.
+  // bit-exact.
   fault::FaultPlan plan;
   plan.seed = 13;
   plan.site(fault::Site::comm_drop).probability = 0.25;
@@ -251,7 +226,7 @@ TEST(DistExchange, ResilientBatchSurvivesDropAndDelayFaults) {
   const auto exchange = [&](DistStateVector<double>& st) {
     st.set_exchange_resilience(res);
     st.set_exchange_chunk_elems(16);  // many chunks -> many fault rolls
-    st.exchange_index_bit_swap(swaps, 51, [] { return false; });
+    st.exchange_index_bit_swap(swaps, 51);
   };
   const std::vector<amp_t> before =
       run_exchange(16, 8, 6, [](DistStateVector<double>&) {});

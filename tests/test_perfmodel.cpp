@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "qgear/circuits/qft.hpp"
 #include "qgear/circuits/random_blocks.hpp"
+#include "qgear/dist/runner.hpp"
 
 namespace qgear::perfmodel {
 namespace {
@@ -267,6 +271,57 @@ TEST(PerfModel, RemapScheduleCutsCommCost) {
   const auto qc = blocks(30, 50);
   EXPECT_DOUBLE_EQ(estimate_gpu(qc, single).comm_s,
                    estimate_gpu(qc, single_remap).comm_s);
+}
+
+TEST(PerfModel, RemapPricingMatchesEngine) {
+  // estimate_gpu with remap prices the schedule run_distributed executes:
+  // the busiest rank's sweeps and the run's exchange bytes per rank, also
+  // when barriers and mid-circuit measures cut the local runs.
+  struct Case {
+    std::string name;
+    qiskit::QuantumCircuit qc;
+    int ranks;
+    unsigned width;
+  };
+  const qiskit::QuantumCircuit random = blocks(16, 60);
+  std::vector<Case> cases;
+  for (const int ranks : {4, 8, 16}) {
+    cases.push_back({"qft16", circuits::build_qft(16), ranks, 2});
+    cases.push_back({"random16", random, ranks, 2});
+  }
+  qiskit::QuantumCircuit barriers(16);
+  qiskit::QuantumCircuit measured(16);
+  for (std::size_t i = 0; i < random.size(); ++i) {
+    if (i > 0 && i % 8 == 0) barriers.barrier();
+    if (i == 100) measured.measure(3);  // lands inside a local run
+    barriers.append(random.instructions()[i]);
+    measured.append(random.instructions()[i]);
+  }
+  cases.push_back({"random16+barriers", barriers, 4, 3});
+  cases.push_back({"random16+measure", measured, 4, 3});
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name + " at " + std::to_string(c.ranks) + " ranks");
+    ClusterConfig cfg;
+    cfg.devices = c.ranks;
+    cfg.fusion_width = c.width;
+    cfg.remap = true;
+    const Estimate e = estimate_gpu(c.qc, cfg);
+    ASSERT_TRUE(e.feasible);
+
+    dist::RunOptions opts;
+    opts.num_ranks = c.ranks;
+    opts.remap = true;
+    opts.fusion_width = c.width;
+    const dist::RunResult<float> run = dist::run_distributed<float>(c.qc, opts);
+    std::uint64_t busiest = 0;
+    for (const sim::EngineStats& s : run.rank_stats) {
+      busiest = std::max(busiest, s.sweeps);
+    }
+    EXPECT_EQ(e.sweeps, busiest);
+    EXPECT_EQ(e.comm_bytes_per_device,
+              run.circuit_exchange_bytes / static_cast<unsigned>(c.ranks));
+  }
 }
 
 TEST(PerfModel, LocalCalibrationProducesSaneBandwidth) {

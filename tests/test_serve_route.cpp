@@ -5,7 +5,9 @@
 
 #include <string>
 
+#include "qgear/circuits/random_blocks.hpp"
 #include "qgear/qiskit/circuit.hpp"
+#include "qgear/route/route.hpp"
 #include "qgear/serve/job.hpp"
 #include "qgear/serve/service.hpp"
 
@@ -43,6 +45,32 @@ TEST(ServeRoute, AutoJobRoundTripsWithRoutedBackendAndPrecision) {
   // gate-count surrogate.
   EXPECT_GT(result.est_execute_s, 0.0);
   EXPECT_GT(result.stats.gates, 0u);
+}
+
+TEST(ServeRoute, AutoJobIsPricedAtTheServiceFusionWidth) {
+  // The worker compiles at Options::fusion.max_width, so that is the only
+  // width admission may price: a width-2 service's auto job reports the
+  // estimate route::plan gives over widths {2}.
+  SimService::Options opts;
+  opts.workers = 1;
+  opts.fusion.max_width = 2;
+  const qiskit::QuantumCircuit qc = circuits::generate_random_circuit(
+      {.num_qubits = 12, .num_blocks = 120, .measure = false, .seed = 7});
+  route::Budget budget;
+  budget.memory_bytes = opts.memory_budget_bytes;
+  budget.max_error = opts.route_max_error;
+  route::RouteOptions ro;
+  ro.calibration = opts.calibration;
+  ro.base.fusion = opts.fusion;
+  ro.fusion_widths = {2};
+  const route::Placement expect = route::plan(qc, budget, ro);
+  ASSERT_TRUE(expect.feasible);
+
+  SimService svc(opts);
+  const JobResult result = svc.submit(auto_spec(qc)).result().get();
+  EXPECT_EQ(result.status, JobStatus::completed);
+  EXPECT_EQ(result.backend, expect.choice.config.backend);
+  EXPECT_DOUBLE_EQ(result.est_execute_s, expect.choice.seconds);
 }
 
 TEST(ServeRoute, AutoServiceDefaultAppliesToUnlabeledJobs) {

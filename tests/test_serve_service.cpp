@@ -115,6 +115,29 @@ TEST(SimService, ExecutionTimeoutIsHonored) {
   EXPECT_EQ(result.stats.sweeps, 0u);  // no completed-job stats folded
 }
 
+TEST(SimService, TimeoutStopsExecutionBetweenBlocks) {
+  // A timeout that lands mid-plan stops the job between fused blocks:
+  // it times out having run some, not all, of the blocks compile_circuit
+  // plans. A first job, timed out before execution, compiles the circuit
+  // so the second one's timeout spans only queueing and execution.
+  SimService svc(small_service(1));
+  const qiskit::QuantumCircuit qc = layered_circuit(20, 20);
+  JobSpec warm = spec_for(qc);
+  warm.timeout_s = 1e-6;
+  ASSERT_EQ(svc.submit(std::move(warm)).result().get().status,
+            JobStatus::timed_out);
+
+  JobSpec spec = spec_for(qc);
+  spec.timeout_s = 0.2;
+  const JobResult result = svc.submit(std::move(spec)).result().get();
+  EXPECT_EQ(result.status, JobStatus::timed_out);
+  EXPECT_TRUE(result.cache_hit);
+  const std::size_t planned =
+      compile_circuit(qc, svc.options().fusion)->plan.blocks.size();
+  EXPECT_GT(result.stats.fused_blocks, 0u);
+  EXPECT_LT(result.stats.fused_blocks, planned);
+}
+
 TEST(SimService, QueueDeadlineExpiresStaleJobs) {
   SimService svc(small_service(1));
   JobSpec spec = spec_for(layered_circuit(4, 2));

@@ -949,37 +949,27 @@ int cmd_estimate(const Args& args) {
     const unsigned r = log2_exact(static_cast<std::uint64_t>(cfg.devices));
     const unsigned num_local = qc.num_qubits() - r;
     const std::size_t amp_b = core::amp_bytes(cfg.precision);
-    const dist::RemapPlan plan = dist::plan_remap(qc, num_local);
+    const dist::RemapSchedule sched = dist::compile_schedule(
+        dist::plan_remap(qc, num_local), cfg.fusion_width);
     std::printf("  exchange schedule: %llu slab swap(s) in batches, "
                 "%s ranks/domain\n",
-                static_cast<unsigned long long>(plan.slab_swaps),
+                static_cast<unsigned long long>(sched.plan.slab_swaps),
                 topo.ranks_per_domain == 0
                     ? "all"
                     : std::to_string(topo.ranks_per_domain).c_str());
     std::size_t batch_no = 0;
-    for (const dist::RemapSegment& seg : plan.segments) {
-      if (seg.swaps.empty()) continue;
-      std::vector<dist::SlabSwap> ps(seg.swaps);
-      std::sort(ps.begin(), ps.end(),
-                [](const dist::SlabSwap& a, const dist::SlabSwap& b) {
-                  return a.local_phys < b.local_phys;
-                });
-      const unsigned k = static_cast<unsigned>(ps.size());
-      const std::uint64_t per_round = (pow2(num_local) >> k) * amp_b;
-      std::printf("  batch %zu: k=%u, %llu rounds, %s/rank/round\n",
-                  batch_no++, k,
-                  static_cast<unsigned long long>(pow2(k) - 1),
+    for (const dist::ScheduleSegment& seg : sched.segments) {
+      const dist::SwapBatch& batch = seg.batch;
+      if (batch.swaps.empty()) continue;
+      const std::uint64_t per_round =
+          (pow2(num_local) >> batch.swaps.size()) * amp_b;
+      std::printf("  batch %zu: k=%zu, %zu rounds, %s/rank/round\n",
+                  batch_no++, batch.swaps.size(), batch.peer_masks.size(),
                   human_bytes(per_round).c_str());
-      for (std::uint64_t d = 1; d < pow2(k); ++d) {
-        std::uint64_t gmask = 0;
-        for (unsigned i = 0; i < k; ++i) {
-          if ((d >> i) & 1u) gmask |= pow2(ps[i].global_phys - num_local);
-        }
-        const int peer = static_cast<int>(gmask);  // rank 0's partner
-        std::printf("    round %llu: peer ^%llu (rank0<->%d), %s, %s\n",
-                    static_cast<unsigned long long>(d),
-                    static_cast<unsigned long long>(gmask), peer,
-                    comm::tier_name(topo.tier(0, peer)),
+      for (std::size_t d = 1; d <= batch.peer_masks.size(); ++d) {
+        const int peer = static_cast<int>(batch.peer_masks[d - 1]);
+        std::printf("    round %zu: peer ^%d (rank0<->%d), %s, %s\n", d,
+                    peer, peer, comm::tier_name(topo.tier(0, peer)),
                     human_bytes(per_round).c_str());
       }
     }
