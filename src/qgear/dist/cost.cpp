@@ -1,3 +1,5 @@
+#include <algorithm>
+
 #include "qgear/dist/dist_state.hpp"
 
 namespace qgear::dist {
@@ -46,6 +48,20 @@ std::uint64_t exchange_bytes_for(const qiskit::Instruction& inst,
       // Non-diagonal single-qubit gates.
       return local(inst.q0) ? 0 : slab_bytes;
   }
+}
+
+unsigned exchange_qubit(const qiskit::Instruction& inst) {
+  using qiskit::GateKind;
+  if (inst.kind == GateKind::cx) return static_cast<unsigned>(inst.q1);
+  if (inst.kind == GateKind::swap) {
+    return static_cast<unsigned>(std::max(inst.q0, inst.q1));
+  }
+  return static_cast<unsigned>(inst.q0);
+}
+
+std::uint64_t swap_batch_bytes(unsigned num_local, unsigned k,
+                               std::size_t amp_bytes) {
+  return ((pow2(num_local) * amp_bytes) >> k) * (pow2(k) - 1);
 }
 
 }  // namespace qgear::dist

@@ -68,6 +68,17 @@ std::uint64_t exchange_bytes_for(const qiskit::Instruction& inst,
                                  unsigned num_qubits, unsigned num_local,
                                  std::size_t amp_bytes);
 
+/// The qubit whose global position makes `inst` exchange (when
+/// exchange_bytes_for is nonzero): a cx's target, a swap's higher operand
+/// (its dominant target-global hop), any other gate's operand.
+unsigned exchange_qubit(const qiskit::Instruction& inst);
+
+/// Bytes each rank exchanges running a batch of `k` index-bit swaps: it
+/// keeps one of its 2^k slab groups and trades the other 2^k - 1, one per
+/// round — slab*(2^k-1)/2^k (k = 1: the half-slab swap).
+std::uint64_t swap_batch_bytes(unsigned num_local, unsigned k,
+                               std::size_t amp_bytes);
+
 template <typename T>
 class DistStateVector {
  public:

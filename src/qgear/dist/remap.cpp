@@ -80,16 +80,17 @@ std::uint64_t baseline_bytes_total(const Instruction& inst,
   return per_rank * participants;
 }
 
-}  // namespace
+/// Instructions scanned ahead of an exchange-triggering gate when
+/// weighing a swap against the residual per-gate schedule.
+constexpr unsigned kLookahead = 96;
 
-namespace {
-
-/// One greedy planning pass with a fixed batch-width cap. The greedy
-/// width interacts with the whole downstream schedule (each extra evicts
-/// a local qubit whose later gates then pay per-gate), so plan_remap
-/// prices several caps and keeps the cheapest.
+/// One greedy planning pass with a fixed batch-width cap and lookahead.
+/// The greedy width interacts with the whole downstream schedule (each
+/// extra evicts a local qubit whose later gates then pay per-gate), so
+/// plan_remap prices several caps and keeps the cheapest.
 RemapPlan plan_remap_width(const qiskit::QuantumCircuit& qc,
-                           unsigned num_local, RemapOptions opts) {
+                           unsigned num_local, unsigned max_batch_cap,
+                           unsigned lookahead) {
   const unsigned n = qc.num_qubits();
   RemapPlan plan;
   plan.num_qubits = n;
@@ -121,7 +122,8 @@ RemapPlan plan_remap_width(const qiskit::QuantumCircuit& qc,
   };
 
   for (std::size_t i = 0; i < ops.size(); ++i) {
-    if (ops[i].kind == GateKind::swap && opts.elide_swaps) {
+    // Logical swap gates are absorbed into the qubit map at zero cost.
+    if (ops[i].kind == GateKind::swap) {
       const unsigned a = static_cast<unsigned>(ops[i].q0);
       const unsigned b = static_cast<unsigned>(ops[i].q1);
       std::swap(p2l[l2p[a]], p2l[l2p[b]]);
@@ -132,16 +134,12 @@ RemapPlan plan_remap_width(const qiskit::QuantumCircuit& qc,
 
     Instruction inst = rewrite(ops[i]);
     if (num_local < n && exchange_bytes_for(inst, n, num_local, 1) != 0) {
-      // The qubit whose global position forces the exchange: the gate
-      // target for cx, the operand itself for 1q unitaries.
-      const unsigned offender_phys = static_cast<unsigned>(
-          inst.kind == GateKind::cx ? inst.q1 : inst.q0);
-      const unsigned offender = p2l[offender_phys];
+      const unsigned offender = p2l[exchange_qubit(inst)];
 
       // Benefit of making the offender local, in half-slab units per
       // rank, over the lookahead window (a lone slab swap costs 1 unit).
       const std::size_t window =
-          std::min(ops.size(), i + std::size_t{opts.lookahead});
+          std::min(ops.size(), i + std::size_t{lookahead});
       int saved = 0;
       for (std::size_t j = i; j < window; ++j) {
         saved += exchange_weight(ops[j], offender);
@@ -153,8 +151,8 @@ RemapPlan plan_remap_width(const qiskit::QuantumCircuit& qc,
         // half-slab units: the trigger pays the full unit, every further
         // global qubit with any upcoming exchange weight rides along
         // almost free. Batch width is capped so groups stay coarse.
-        const unsigned max_batch = std::min(
-            {opts.max_batch, num_local, n - num_local});
+        const unsigned max_batch =
+            std::min({max_batch_cap, num_local, n - num_local});
 
         // Window weight per logical qubit, and Belady slot ranking: the
         // local slots whose qubits go longest without needing locality
@@ -247,13 +245,9 @@ RemapPlan plan_remap(const qiskit::QuantumCircuit& qc, unsigned num_local,
   RemapPlan best;
   std::uint64_t best_bytes = 0;
   bool have_best = false;
-  for (const unsigned look : {opts.lookahead, opts.lookahead / 2}) {
-    if (look < 2 || (have_best && look == opts.lookahead)) continue;
+  for (const unsigned look : {kLookahead, kLookahead / 2}) {
     for (unsigned width = 1; width <= cap; ++width) {
-      RemapOptions wopts = opts;
-      wopts.lookahead = look;
-      wopts.max_batch = width;
-      RemapPlan plan = plan_remap_width(qc, num_local, wopts);
+      RemapPlan plan = plan_remap_width(qc, num_local, width, look);
       const std::uint64_t bytes =
           plan_exchange_bytes_total(plan, sizeof(std::complex<double>));
       if (!have_best || bytes < best_bytes) {
@@ -263,7 +257,6 @@ RemapPlan plan_remap(const qiskit::QuantumCircuit& qc, unsigned num_local,
       }
     }
   }
-  if (!have_best) best = plan_remap_width(qc, num_local, opts);
   return best;
 }
 
@@ -337,15 +330,12 @@ RemapSchedule compile_schedule(RemapPlan plan, unsigned fusion_width) {
 std::uint64_t plan_exchange_bytes_total(const RemapPlan& plan,
                                         std::size_t amp_bytes) {
   const std::uint64_t ranks = pow2(plan.num_qubits - plan.num_local);
-  const std::uint64_t slab = pow2(plan.num_local) * amp_bytes;
   std::uint64_t total = 0;
   for (const RemapSegment& seg : plan.segments) {
-    // A k-wide batch executes as one exchange: every rank keeps 1 of its
-    // 2^k slab groups and trades the rest, slab*(2^k-1)/2^k bytes each
-    // (k = 1 degenerates to the classic half-slab swap).
+    // A k-wide batch executes as one exchange on every rank.
     if (!seg.swaps.empty()) {
       const unsigned k = static_cast<unsigned>(seg.swaps.size());
-      total += ranks * ((slab >> k) * (pow2(k) - 1));
+      total += ranks * swap_batch_bytes(plan.num_local, k, amp_bytes);
     }
     for (const qiskit::Instruction& inst : seg.insts) {
       total += baseline_bytes_total(inst, plan.num_qubits, plan.num_local,

@@ -30,15 +30,9 @@
 namespace qgear::dist {
 
 struct RemapOptions {
-  /// Instructions scanned ahead of an exchange-triggering gate when
-  /// weighing a swap against the residual per-gate schedule.
-  unsigned lookahead = 96;
-  /// Absorb logical swap gates into the qubit map (zero cost) instead of
-  /// executing them.
-  bool elide_swaps = true;
   /// Widest index-bit-swap batch one segment boundary may carry. A batch
-  /// of k swaps executes as one exchange of slab*(2^k-1)/2^k bytes per
-  /// rank (2^k-1 rounds), so the marginal comm cost of the i-th swap is
+  /// of k swaps executes as one exchange of swap_batch_bytes per rank
+  /// (2^k-1 rounds), so the marginal comm cost of the i-th swap is
   /// 2^(1-i) half-slab units; the cap keeps the slab groups coarse enough
   /// to chunk. 1 = one swap at a time (the pre-batching schedule).
   unsigned max_batch = 4;

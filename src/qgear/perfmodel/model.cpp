@@ -1,7 +1,9 @@
 #include "qgear/perfmodel/model.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
+#include <complex>
 
 #include "qgear/circuits/random_blocks.hpp"
 #include "qgear/common/strings.hpp"
@@ -54,18 +56,6 @@ double exchange_time(std::uint64_t bytes, unsigned gbit, int pairs,
   return 0.0;
 }
 
-// Global-qubit level of the exchange a gate with nonzero exchange bytes
-// triggers: the target of a cx, the higher operand of a swap (priced as
-// its dominant target-global hop), the operand of anything else.
-unsigned exchange_gbit(const qiskit::Instruction& inst, unsigned num_local) {
-  int q = inst.q0;
-  if (inst.kind == qiskit::GateKind::cx) q = inst.q1;
-  if (inst.kind == qiskit::GateKind::swap) q = std::max(inst.q0, inst.q1);
-  const int gbit = q - static_cast<int>(num_local);
-  QGEAR_ENSURES(gbit >= 0);
-  return static_cast<unsigned>(gbit);
-}
-
 double container_startup(const ClusterConfig& config) {
   if (!config.include_container_start) return 0.0;
   const ContainerSpec& c = config.container;
@@ -77,6 +67,19 @@ double container_startup(const ClusterConfig& config) {
   // with the allocation size — the paper's "not warmed up" effect.
   const double all_warm = std::pow(c.warm_node_probability, nodes);
   return all_warm * c.warm_start_s + (1.0 - all_warm) * c.cold_start_s;
+}
+
+// Sweep bandwidth (bytes/s) the fused engine sustains running `qc` at T.
+template <typename T>
+double sweep_bandwidth(const qiskit::QuantumCircuit& qc) {
+  sim::FusedEngine<T> engine;
+  sim::StateVector<T> state(qc.num_qubits());
+  WallTimer timer;
+  engine.apply(qc, state);
+  const double seconds = std::max(timer.seconds(), 1e-9);
+  return static_cast<double>(engine.stats().sweeps) * kSweepBytesPerStateByte *
+         std::ldexp(double(sizeof(std::complex<T>)), int(qc.num_qubits())) /
+         seconds;
 }
 
 }  // namespace
@@ -117,7 +120,10 @@ Estimate estimate_gpu(const qiskit::QuantumCircuit& qc,
   const auto price_gate = [&](const qiskit::Instruction& inst) {
     const std::uint64_t bytes =
         dist::exchange_bytes_for(inst, n, num_local, amp_b);
-    if (bytes != 0) price_exchange(bytes, exchange_gbit(inst, num_local));
+    if (bytes == 0) return;
+    const unsigned q = dist::exchange_qubit(inst);
+    QGEAR_ENSURES(q >= num_local);
+    price_exchange(bytes, q - num_local);
   };
 
   if (config.remap && r > 0) {
@@ -133,8 +139,11 @@ Estimate estimate_gpu(const qiskit::QuantumCircuit& qc,
         // slab groups at the slowest link its peer mask crosses, the
         // highest global bit.
         ++e.sweeps;
+        const std::uint64_t round_bytes =
+            dist::swap_batch_bytes(num_local, batch.swaps.size(), amp_b) /
+            batch.peer_masks.size();
         for (const std::uint64_t mask : batch.peer_masks) {
-          price_exchange(local_bytes >> batch.swaps.size(),
+          price_exchange(round_bytes,
                          static_cast<unsigned>(std::bit_width(mask)) - 1);
         }
       }
@@ -159,12 +168,12 @@ Estimate estimate_gpu(const qiskit::QuantumCircuit& qc,
     }
   }
 
-  const double sweep_bytes =
-      kSweepBytesPerStateByte * static_cast<double>(local_bytes);
-  const double sustained =
-      config.gpu.mem_bandwidth_bps * config.gpu.efficiency;
-  e.compute_s = static_cast<double>(e.sweeps) * sweep_bytes / sustained;
-  e.launch_s = static_cast<double>(e.sweeps) * config.gpu.kernel_launch_s;
+  const SweepCost sweeps = price_sweeps(
+      {.sweeps = e.sweeps, .qubits = num_local, .amp_bytes = amp_b},
+      {.bandwidth_bps = config.gpu.mem_bandwidth_bps * config.gpu.efficiency,
+       .launch_s = config.gpu.kernel_launch_s});
+  e.compute_s = sweeps.compute_s;
+  e.launch_s = sweeps.launch_s;
 
   if (shots > 0) {
     // Device-side cumulative-search sampling: per-shot cost scales with
@@ -206,14 +215,15 @@ Estimate estimate_cpu(const qiskit::QuantumCircuit& qc,
   }
   e.sweeps = gates;  // no fusion in the baseline
 
-  const double sweep_bytes =
-      kSweepBytesPerStateByte * static_cast<double>(state_bytes);
-  const double bandwidth =
-      config.mode == CpuBaselineConfig::Mode::node_parallel
-          ? config.node.node_bandwidth_bps * config.node.node_efficiency
-          : config.node.core_bandwidth_bps;
-  e.compute_s = static_cast<double>(gates) * sweep_bytes / bandwidth;
-  e.launch_s = static_cast<double>(gates) * config.node.gate_dispatch_s;
+  const SweepCost sweeps = price_sweeps(
+      {.sweeps = gates, .qubits = n, .amp_bytes = amp_b},
+      {.bandwidth_bps =
+           config.mode == CpuBaselineConfig::Mode::node_parallel
+               ? config.node.node_bandwidth_bps * config.node.node_efficiency
+               : config.node.core_bandwidth_bps,
+       .launch_s = config.node.gate_dispatch_s});
+  e.compute_s = sweeps.compute_s;
+  e.launch_s = sweeps.launch_s;
 
   if (shots > 0) {
     // Sampling parallelizes across all cores in both CPU modes.
@@ -224,45 +234,35 @@ Estimate estimate_cpu(const qiskit::QuantumCircuit& qc,
   return e;
 }
 
-double measure_local_sweep_bandwidth(unsigned num_qubits, unsigned blocks) {
-  const auto qc = circuits::generate_random_circuit(
-      {.num_qubits = num_qubits, .num_blocks = blocks, .measure = false,
-       .seed = 99});
-  sim::FusedEngine<float> engine;
-  sim::StateVector<float> state(num_qubits);
-  WallTimer timer;
-  engine.apply(qc, state);
-  const double seconds = timer.seconds();
-  const double bytes = static_cast<double>(engine.stats().sweeps) *
-                       kSweepBytesPerStateByte *
-                       static_cast<double>(pow2(num_qubits)) *
-                       sizeof(std::complex<float>);
-  return bytes / seconds;
+SweepCost price_sweeps(const SweepWork& work, const SweepRates& rates) {
+  const double sweeps = static_cast<double>(work.sweeps);
+  const double sweep_bytes =
+      kSweepBytesPerStateByte *
+      std::ldexp(static_cast<double>(work.amp_bytes), int(work.qubits));
+  SweepCost c;
+  c.compute_s = sweeps * sweep_bytes / rates.bandwidth_bps;
+  c.launch_s = sweeps * rates.launch_s;
+  if (rates.dense_flops_ps > 0.0) {
+    // 2^width complex MACs (8 flops each) per amplitude of a dense block.
+    const double flop_s =
+        work.dense_fraction *
+        std::ldexp(8.0, int(work.qubits + work.width)) / rates.dense_flops_ps;
+    c.flop_bound = flop_s > sweep_bytes / rates.bandwidth_bps;
+    c.compute_s = std::max(c.compute_s, sweeps * flop_s);
+    c.build_s = std::ldexp(static_cast<double>(work.build_gates),
+                           3 + 3 * int(work.width)) /
+                rates.dense_flops_ps;
+  }
+  return c;
 }
 
 double measure_local_sweep_bandwidth(unsigned num_qubits, unsigned blocks,
-                                     sim::Isa isa) {
-  const sim::Isa prev = sim::active_isa();
-  sim::set_active_isa(isa);
-  const double bandwidth = measure_local_sweep_bandwidth(num_qubits, blocks);
-  sim::set_active_isa(prev);
-  return bandwidth;
-}
-
-BackendMemoryEstimate estimate_backend_memory(
-    const qiskit::QuantumCircuit& qc, const std::string& backend,
-    std::uint64_t budget_bytes, const sim::BackendOptions& opts) {
-  BackendMemoryEstimate e;
-  e.backend = backend;
-  e.mem_bytes = sim::Backend::memory_estimate_for(backend, qc, opts);
-  if (budget_bytes > 0 && e.mem_bytes > budget_bytes) {
-    e.feasible = false;
-    e.infeasible_reason =
-        strfmt("%s needs %s, budget is %s", backend.c_str(),
-               human_bytes(e.mem_bytes).c_str(),
-               human_bytes(budget_bytes).c_str());
-  }
-  return e;
+                                     core::Precision precision) {
+  const auto qc = circuits::generate_random_circuit(
+      {.num_qubits = num_qubits, .num_blocks = blocks, .measure = false,
+       .seed = 99});
+  return precision == core::Precision::fp32 ? sweep_bandwidth<float>(qc)
+                                            : sweep_bandwidth<double>(qc);
 }
 
 }  // namespace qgear::perfmodel

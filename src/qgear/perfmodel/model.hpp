@@ -1,12 +1,15 @@
-// Analytic performance model for paper-scale runs.
+// Analytic performance model, for paper-scale runs and for this host.
 //
 // The engines in sim/ and dist/ are exact but bounded by this machine's
 // memory; the paper evaluates 28-42 qubits on A100 clusters. This model
 // prices the *same* execution schedule the real engines use — fused-sweep
 // counts come from the real fusion planner, communication volume from the
-// distributed engine's own exchange_bytes_for — on the paper's hardware
-// specs. Benches print measured small-scale times next to modeled
-// paper-scale times; EXPERIMENTS.md records both.
+// distributed engine's own exchange_bytes_for and swap_batch_bytes — on
+// the paper's hardware specs. Benches print measured small-scale times
+// next to modeled paper-scale times; EXPERIMENTS.md records both.
+//
+// price_sweeps is the one statevector roofline: it prices the paper's
+// A100 and CPU node here, and this host for the router (route/cost).
 #pragma once
 
 #include <cstdint>
@@ -15,8 +18,6 @@
 #include "qgear/core/transformer.hpp"
 #include "qgear/perfmodel/specs.hpp"
 #include "qgear/qiskit/circuit.hpp"
-#include "qgear/sim/backend.hpp"
-#include "qgear/sim/isa.hpp"
 
 namespace qgear::perfmodel {
 
@@ -78,21 +79,6 @@ Estimate estimate_cpu(const qiskit::QuantumCircuit& qc,
                       const CpuBaselineConfig& config,
                       std::uint64_t shots = 0);
 
-/// Memory price of one circuit under a named sim::Backend — the serve
-/// admission currency — plus feasibility against a byte budget. This is
-/// where the backend choice shows up at paper scale: a 50-qubit GHZ
-/// prices at 16 PiB dense but a few hundred MiB on dd/mps.
-struct BackendMemoryEstimate {
-  std::string backend;
-  std::uint64_t mem_bytes = 0;
-  bool feasible = true;             ///< fits `budget_bytes` (0 = no budget)
-  std::string infeasible_reason;
-};
-
-BackendMemoryEstimate estimate_backend_memory(
-    const qiskit::QuantumCircuit& qc, const std::string& backend,
-    std::uint64_t budget_bytes = 0, const sim::BackendOptions& opts = {});
-
 /// Link class between exchange partners `gbit` global-qubit levels apart.
 enum class LinkClass { nvlink, slingshot, cross_rack };
 LinkClass link_class_for(unsigned gbit, const InterconnectSpec& net);
@@ -103,14 +89,47 @@ LinkClass link_class_for(unsigned gbit, const InterconnectSpec& net);
 /// and the bandwidth-bound model stays calibrated across dispatch targets.
 inline constexpr double kSweepBytesPerStateByte = 2.0;
 
-/// Measures this host's sustained amplitude-sweep bandwidth (bytes/s) by
-/// timing the fused engine on a calibration circuit. Benches use it to
-/// relate local measured times to modeled device times. Pass an `isa` to
-/// calibrate a specific kernel variant (the active ISA is restored before
-/// returning); the default measures whatever is currently active.
-double measure_local_sweep_bandwidth(unsigned num_qubits = 18,
-                                     unsigned blocks = 40);
-double measure_local_sweep_bandwidth(unsigned num_qubits, unsigned blocks,
-                                     sim::Isa isa);
+/// Rates a sweep schedule is priced at: the paper's A100 or CPU node
+/// (estimate_gpu, estimate_cpu), or this host's route::Calibration layer
+/// 1 times the ISA factor (route's statevector candidates).
+struct SweepRates {
+  double bandwidth_bps = 0.0;   ///< sustained sweep bandwidth
+  double launch_s = 0.0;        ///< per-sweep launch / dispatch cost
+  double dense_flops_ps = 0.0;  ///< 0: no arithmetic or build term
+};
+
+/// A fused-sweep schedule over one (local) state.
+struct SweepWork {
+  std::uint64_t sweeps = 0;
+  unsigned qubits = 0;            ///< qubits of the state each sweep reads
+  std::size_t amp_bytes = 0;      ///< sizeof(std::complex<T>)
+  unsigned width = 1;             ///< dense block width
+  double dense_fraction = 1.0;    ///< share of sweeps that are dense
+  std::uint64_t build_gates = 0;  ///< gates composed into fused blocks
+};
+
+struct SweepCost {
+  double compute_s = 0.0;
+  double launch_s = 0.0;
+  double build_s = 0.0;
+  bool flop_bound = false;  ///< a sweep's arithmetic outlasts its traffic
+
+  double total_s() const { return compute_s + launch_s + build_s; }
+};
+
+/// The statevector roofline. Each sweep moves kSweepBytesPerStateByte
+/// state bytes, or spends 2^width complex MACs per amplitude on its dense
+/// share if that takes longer, and pays one launch. Building the blocks
+/// composes each merged gate by a (2^width)^3 matrix multiply: negligible
+/// at width <= 3, dominant for wide blocks on small states.
+SweepCost price_sweeps(const SweepWork& work, const SweepRates& rates);
+
+/// Measures this host's sustained sweep bandwidth (bytes/s) at `precision`
+/// by timing the fused engine, at the active ISA, on a `blocks`-block
+/// random circuit (seed 99). `qgear_cli calibrate` records it per
+/// precision as the router's layer-1 bandwidth.
+double measure_local_sweep_bandwidth(
+    unsigned num_qubits = 18, unsigned blocks = 40,
+    core::Precision precision = core::Precision::fp32);
 
 }  // namespace qgear::perfmodel

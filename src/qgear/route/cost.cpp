@@ -5,6 +5,7 @@
 #include <complex>
 
 #include "qgear/common/strings.hpp"
+#include "qgear/perfmodel/model.hpp"
 
 namespace qgear::route {
 
@@ -15,15 +16,6 @@ namespace {
 /// amplitude sees per (fused) gate application.
 constexpr double kFp32GateError = 1.19209290e-07 * 4.0;
 constexpr double kFp64GateError = 2.22044605e-16 * 4.0;
-
-/// Memory traffic of one fused sweep in units of the state size (read +
-/// write every amplitude) — mirrors perfmodel::kSweepBytesPerStateByte.
-constexpr double kSweepTraffic = 2.0;
-
-double amp_bytes(const std::string& precision) {
-  return precision == "fp32" ? sizeof(std::complex<float>)
-                             : sizeof(std::complex<double>);
-}
 
 /// Blends the analytic estimate with the measured lookup table: a
 /// per-(backend, precision) scale factor, weighted by similarity of
@@ -60,6 +52,9 @@ double measured_scale(const Calibration& calib, const CandidateConfig& cfg,
   return std::clamp(std::exp(acc / wsum), 1e-3, 1e3);
 }
 
+/// Prices the reference engine (a sweep per gate) or the fused engine
+/// (`fused_sweeps` blocks at cfg.fusion_width) with perfmodel's roofline,
+/// at this host's calibrated rates scaled by the ISA tier.
 TimeEstimate statevector_estimate(const qiskit::QuantumCircuit& qc,
                                   const CircuitFeatures& f,
                                   const CandidateConfig& cfg,
@@ -67,63 +62,40 @@ TimeEstimate statevector_estimate(const qiskit::QuantumCircuit& qc,
                                   const sim::BackendOptions& base,
                                   std::uint64_t fused_sweeps) {
   TimeEstimate est;
-  const bool fused = cfg.backend == "fused";
+  const bool fp32 = cfg.precision == "fp32";
   const double isa_f = isa_speed_factor(cfg.isa);
-  const double bw = (cfg.precision == "fp32" ? calib.sweep_bw_fp32_bps
-                                             : calib.sweep_bw_fp64_bps) *
-                    isa_f;
-  const double state_bytes =
-      std::ldexp(amp_bytes(cfg.precision), int(f.num_qubits));
-
-  std::uint64_t sweeps;
-  double dense_fraction;
-  unsigned width;
+  const perfmodel::SweepRates rates{
+      .bandwidth_bps =
+          (fp32 ? calib.sweep_bw_fp32_bps : calib.sweep_bw_fp64_bps) * isa_f,
+      .launch_s = calib.sweep_launch_s,
+      .dense_flops_ps = calib.dense_flops_ps * isa_f};
+  perfmodel::SweepWork work{
+      .sweeps = std::max<std::uint64_t>(f.unitary_gates, 1),
+      .qubits = f.num_qubits,
+      .amp_bytes = fp32 ? sizeof(std::complex<float>)
+                        : sizeof(std::complex<double>)};
+  const bool fused = cfg.backend == "fused";
   if (fused) {
-    width = std::max(1u, cfg.fusion_width);
-    sweeps = fused_sweeps != 0
-                 ? fused_sweeps
-                 // Analytic fallback: fusion packs ~1.2*width gates/block.
-                 : std::max<std::uint64_t>(
-                       1, std::uint64_t(double(f.unitary_gates) /
-                                        (1.2 * double(width))));
-    dense_fraction =
+    work.sweeps = fused_sweeps;
+    work.width = std::max(1u, cfg.fusion_width);
+    work.dense_fraction =
         f.fused_blocks == 0
             ? 1.0
             : double(f.dense_blocks) / double(f.fused_blocks);
-  } else {
-    width = 1;
-    sweeps = std::max<std::uint64_t>(f.unitary_gates, 1);
-    dense_fraction = 1.0;
+    work.build_gates = f.unitary_gates;
   }
-
-  // Per-sweep cost: bandwidth-bound floor, overtaken by the dense-kernel
-  // arithmetic term as blocks widen (2^w MACs per amplitude).
-  const double bw_s = kSweepTraffic * state_bytes / bw;
-  const double amps = std::ldexp(1.0, int(f.num_qubits));
-  const double flop_s = dense_fraction * amps * 8.0 *
-                        std::ldexp(1.0, int(width)) /
-                        (calib.dense_flops_ps * isa_f);
-  // Block construction: plan_fusion composes each merged gate by a full
-  // (2^w)x(2^w) matrix multiply — (2^w)^3 MACs per gate. Negligible at
-  // w<=3, dominant for wide blocks on small states; this is what makes
-  // max-width fusion lose on shallow registers.
-  const double build_s =
-      fused ? double(f.unitary_gates) * 8.0 * std::ldexp(1.0, 3 * int(width)) /
-                  (calib.dense_flops_ps * isa_f)
-            : 0.0;
-  est.seconds = double(sweeps) * std::max(bw_s, flop_s) +
-                double(sweeps) * calib.sweep_launch_s + build_s;
-  est.error_bound = cfg.precision == "fp32"
-                        ? fp32_error_bound(f.unitary_gates)
-                        : fp64_error_bound(f.unitary_gates);
+  const perfmodel::SweepCost cost = perfmodel::price_sweeps(work, rates);
+  est.seconds = cost.total_s();
+  est.error_bound = fp32 ? fp32_error_bound(f.unitary_gates)
+                         : fp64_error_bound(f.unitary_gates);
   sim::BackendOptions bo = base;
-  bo.fp32 = cfg.precision == "fp32";
-  bo.fusion.max_width = fused ? width : bo.fusion.max_width;
+  bo.fp32 = fp32;
+  bo.fusion.max_width = fused ? work.width : bo.fusion.max_width;
   est.mem_bytes = sim::Backend::memory_estimate_for(cfg.backend, qc, bo);
   est.detail = strfmt("%llu sweeps @ %s/s%s",
-                      static_cast<unsigned long long>(sweeps),
-                      human_bytes(std::uint64_t(bw)).c_str(),
-                      flop_s > bw_s ? " (flop-bound)" : "");
+                      static_cast<unsigned long long>(work.sweeps),
+                      human_bytes(std::uint64_t(rates.bandwidth_bps)).c_str(),
+                      cost.flop_bound ? " (flop-bound)" : "");
   return est;
 }
 
@@ -201,35 +173,27 @@ TimeEstimate time_estimate(const qiskit::QuantumCircuit& qc,
                            const sim::BackendOptions& base,
                            std::uint64_t fused_sweeps) {
   TimeEstimate est;
+  if (cfg.precision == "fp32" && (cfg.backend == "dd" || cfg.backend == "mps" ||
+                                  cfg.backend == "dist")) {
+    est.supported = false;
+    est.detail = cfg.backend + " is double-precision only";
+    return est;
+  }
   if (cfg.backend == "reference" || cfg.backend == "fused") {
     est = statevector_estimate(qc, f, cfg, calib, base, fused_sweeps);
   } else if (cfg.backend == "dd") {
-    if (cfg.precision == "fp32") {
-      est.supported = false;
-      est.detail = "dd is double-precision only";
-      return est;
-    }
     est = dd_estimate(qc, f, calib, base);
   } else if (cfg.backend == "mps") {
-    if (cfg.precision == "fp32") {
-      est.supported = false;
-      est.detail = "mps is double-precision only";
-      return est;
-    }
     est = mps_estimate(qc, f, calib, base);
   } else if (cfg.backend == "dist") {
-    if (cfg.precision == "fp32") {
-      est.supported = false;
-      est.detail = "dist is double-precision only";
-      return est;
-    }
     // Replayed fused execution across ranks plus exchange overhead; the
     // single-process dist backend never beats local fused, so a flat
     // penalty over the fp64 fused model is honest enough for ranking.
+    // The features' fusion plan is at the base width the ranks run.
     CandidateConfig fcfg = cfg;
     fcfg.backend = "fused";
     fcfg.fusion_width = base.fusion.max_width;
-    est = statevector_estimate(qc, f, fcfg, calib, base, 0);
+    est = statevector_estimate(qc, f, fcfg, calib, base, f.fused_blocks);
     est.seconds *= 1.5;
     est.mem_bytes = sim::Backend::memory_estimate_for("dist", qc, base);
     est.detail = "fused fp64 model x1.5 exchange overhead";

@@ -13,11 +13,11 @@
 //                  effective 2q gates for mps, ~machine epsilon for dd.
 //
 // Analytic time, per backend family:
-//   statevector  sweeps × max(bandwidth term, dense-flop term) + launch;
-//                bandwidth from the calibrated probe per precision,
-//                scaled by an ISA tier factor (PR 2 measured avx2 ≈ 3x
-//                scalar); the flop term is what makes very wide fusion
-//                lose.
+//   statevector  perfmodel::price_sweeps — the roofline estimate_gpu
+//                prices the paper's A100 with — at this host's rates:
+//                Calibration layer 1 per precision, times an ISA tier
+//                factor (avx2 measured ≈ 3x scalar). dist is the fused
+//                model at the base width, x1.5 for its exchanges.
 //   dd           gates × (base + est_nodes × per-node); est_nodes from
 //                the entanglement proxy, capped by the node budget.
 //   mps          chi^2 per 1q gate and chi^3 per effective 2q gate
@@ -62,17 +62,17 @@ double fp64_error_bound(std::uint64_t unitary_gates);
 /// (avx2 = 1.0; lower tiers from the PR 2 kernel measurements).
 double isa_speed_factor(sim::Isa isa);
 
-/// Prices one candidate. `fused_sweeps` is the fusion-plan block count
-/// at cfg.fusion_width when the caller has one (route::plan does); 0
-/// falls back to an analytic estimate from the feature block mix.
-/// `base` carries the engine knobs (dd node budget, mps bond cap) that
-/// shape both the memory estimate and the time model.
+/// Prices one candidate. `fused_sweeps` is the fused candidate's
+/// fusion-plan block count at cfg.fusion_width (route::plan computes one
+/// per width). `base` carries the engine knobs (dd node budget, mps bond
+/// cap, the fusion width the features were planned at) that shape both
+/// the memory estimate and the time model.
 TimeEstimate time_estimate(const qiskit::QuantumCircuit& qc,
                            const CircuitFeatures& f,
                            const CandidateConfig& cfg,
                            const Calibration& calib,
-                           const sim::BackendOptions& base = {},
-                           std::uint64_t fused_sweeps = 0);
+                           const sim::BackendOptions& base,
+                           std::uint64_t fused_sweeps);
 
 /// Convenience used by serve admission: price circuit `qc` on a fixed,
 /// already-chosen backend/precision at the active ISA and the configured

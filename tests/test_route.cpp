@@ -12,6 +12,8 @@
 #include "qgear/circuits/qft.hpp"
 #include "qgear/circuits/random_blocks.hpp"
 #include "qgear/common/error.hpp"
+#include "qgear/dist/dist_backend.hpp"
+#include "qgear/perfmodel/model.hpp"
 #include "qgear/qiskit/circuit.hpp"
 #include "qgear/route/calibration.hpp"
 #include "qgear/route/cost.hpp"
@@ -121,6 +123,66 @@ TEST(RouteCost, ExactMeasuredPointRescalesItsBackendOnly) {
   const TimeEstimate ref_after =
       time_estimate_for("reference", "fp64", qc, calib, {});
   EXPECT_DOUBLE_EQ(ref_after.seconds, ref_before.seconds);
+}
+
+TEST(RouteCost, DistPricesTheFusionPlanOfItsBaseWidth) {
+  // dist replays the fused engine at the base fusion width, so with no
+  // measured table its fp64 estimate is exactly fused's at that width,
+  // x1.5 for the exchanges.
+  dist::register_dist_backend();
+  const Calibration calib;
+  for (const unsigned width : {3u, 5u}) {
+    sim::BackendOptions base;
+    base.fusion.max_width = width;
+    for (const qiskit::QuantumCircuit& qc :
+         {circuits::build_qft(12, {}),
+          circuits::generate_random_circuit(
+              {.num_qubits = 12, .num_blocks = 120, .seed = 1})}) {
+      const TimeEstimate dist_est =
+          time_estimate_for("dist", "fp64", qc, calib, base);
+      const TimeEstimate fused_est =
+          time_estimate_for("fused", "fp64", qc, calib, base);
+      ASSERT_TRUE(dist_est.supported);
+      EXPECT_EQ(dist_est.seconds, 1.5 * fused_est.seconds)
+          << qc.name() << " width " << width;
+    }
+  }
+}
+
+TEST(RouteCost, HostPricingIsTheDeviceRooflineAtHostRates) {
+  // Route prices this host with perfmodel's roofline. Given the A100's
+  // sustained bandwidth and launch cost, and arithmetic fast enough to
+  // vanish, a fused candidate prices what estimate_gpu charges one device
+  // for its sweeps.
+  const perfmodel::DeviceSpec a100 = perfmodel::a100_40gb();
+  Calibration calib;
+  calib.sweep_bw_fp32_bps = a100.mem_bandwidth_bps * a100.efficiency;
+  calib.sweep_launch_s = a100.kernel_launch_s;
+  calib.dense_flops_ps = 1e30;
+  for (const qiskit::QuantumCircuit& qc :
+       {circuits::build_qft(14, {}),
+        circuits::generate_random_circuit(
+            {.num_qubits = 14, .num_blocks = 60, .seed = 7})}) {
+    for (const unsigned width : {3u, 5u}) {
+      sim::BackendOptions base;
+      base.fusion.max_width = width;
+      const TimeEstimate host = time_estimate(
+          qc, extract_features(qc, base.fusion),
+          {"fused", "fp32", sim::Isa::avx2, width}, calib, base,
+          sim::plan_fusion(qc, {.max_width = width}).blocks.size());
+
+      perfmodel::ClusterConfig device;
+      device.devices = 1;
+      device.precision = core::Precision::fp32;
+      device.fusion_width = width;
+      device.include_container_start = false;
+      const perfmodel::Estimate e = perfmodel::estimate_gpu(qc, device);
+      ASSERT_TRUE(e.feasible);
+      const double modeled = e.compute_s + e.launch_s;
+      EXPECT_NEAR(host.seconds, modeled, 1e-12 * modeled)
+          << qc.name() << " width " << width;
+    }
+  }
 }
 
 TEST(RoutePlan, DeterministicForSameCircuitAndBudget) {

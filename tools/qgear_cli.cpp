@@ -674,8 +674,7 @@ double measure_backend_wall(const std::string& backend,
 
 /// `qgear_cli calibrate` — refreshes the router's time model for this
 /// host and writes qgear.route.calibration/v1 JSON. Layer 1: sweep
-/// bandwidth per precision (the fp32 number comes straight from the
-/// perfmodel probe the GPU estimator already trusts). Layer 2: measured
+/// bandwidth per precision from the perfmodel probe. Layer 2: measured
 /// wall times for the routing suite (qft12 / random12 / ghz40) on every
 /// backend x precision where the pair is tractable, paired with the
 /// analytic estimate so the cost model can learn a per-pair scale.
@@ -686,24 +685,10 @@ int cmd_calibrate(const Args& args) {
 
   route::Calibration calib;
   calib.source = "qgear_cli calibrate";
-  calib.sweep_bw_fp32_bps =
-      perfmodel::measure_local_sweep_bandwidth(probe_qubits, 40);
-  {
-    // fp64 bandwidth via a fused fp64 backend run of the same shape.
-    const auto qc = circuits::generate_random_circuit(
-        {.num_qubits = probe_qubits, .num_blocks = 40, .seed = 99});
-    sim::BackendOptions bo;
-    auto b = sim::Backend::create("fused", bo);
-    b->init_state(probe_qubits);
-    WallTimer timer;
-    std::vector<unsigned> measured;
-    b->apply_circuit(qc, &measured);
-    const double seconds = timer.seconds();
-    const double bytes = double(b->stats().sweeps) *
-                         perfmodel::kSweepBytesPerStateByte *
-                         std::ldexp(16.0, int(probe_qubits));
-    calib.sweep_bw_fp64_bps = bytes / std::max(seconds, 1e-9);
-  }
+  calib.sweep_bw_fp32_bps = perfmodel::measure_local_sweep_bandwidth(
+      probe_qubits, 40, core::Precision::fp32);
+  calib.sweep_bw_fp64_bps = perfmodel::measure_local_sweep_bandwidth(
+      probe_qubits, 40, core::Precision::fp64);
   std::printf("sweep bandwidth: fp32 %s/s, fp64 %s/s (%u-qubit probe)\n",
               human_bytes(std::uint64_t(calib.sweep_bw_fp32_bps)).c_str(),
               human_bytes(std::uint64_t(calib.sweep_bw_fp64_bps)).c_str(),
@@ -898,8 +883,7 @@ int cmd_estimate(const Args& args) {
         // Chosen precision per backend: fp32 where the engine supports
         // it and the propagated error stays inside --max-error. The
         // memory column is at that precision (the serve admission
-        // currency), like perfmodel::estimate_backend_memory but
-        // precision-aware.
+        // currency).
         const auto e32 = route::time_estimate_for(nm, "fp32", tqc, calib, bo);
         const auto e64 = route::time_estimate_for(nm, "fp64", tqc, calib, bo);
         const bool pick32 = e32.supported && e32.error_bound <= max_error &&
