@@ -11,6 +11,7 @@
 #include "qgear/obs/perfcount.hpp"
 #include "qgear/perfmodel/model.hpp"
 #include "qgear/qiskit/transpile.hpp"
+#include "qgear/sim/backend.hpp"
 #include "qgear/sim/fused.hpp"
 #include "qgear/sim/isa.hpp"
 #include "qgear/sim/kernel_table.hpp"
@@ -177,6 +178,38 @@ void report_kernel_rate() {
       "and fp64 avx2) runs the in-register lane-flip path, not scalar.\n");
 }
 
+/// State set-up alone: a 24-qubit fused backend on a 4-thread pool. The
+/// first init_state allocates the buffer and zeroes it on the pool
+/// (fresh); a second at the same width re-zeroes the kept buffer. No sim.*
+/// counter moves.
+void report_state_init() {
+  constexpr unsigned kQubits = 24;
+  bench::subheading("state set-up (fused backend, 24 qubits, 4-thread pool)");
+  ThreadPool pool(4);
+  bench::Table table({"precision", "init_state", "measured"});
+  for (const bool fp32 : {true, false}) {
+    const char* precision = fp32 ? "fp32" : "fp64";
+    sim::BackendOptions opts;
+    opts.pool = &pool;
+    opts.fp32 = fp32;
+    auto backend = sim::Backend::create("fused", opts);
+    for (const char* init : {"fresh", "kept"}) {
+      double t = 0;
+      {
+        bench::StageTimer stage(strfmt("state_init.%s.%s", precision, init));
+        backend->init_state(kQubits);
+        t = stage.seconds();
+      }
+      table.row({precision, init, human_seconds(t)});
+    }
+  }
+  table.print();
+  std::printf(
+      "expected shape: fp64 kept several times below fresh, which also "
+      "takes the first-touch page faults; the two fp32 rows are close and "
+      "their order varies from run to run.\n");
+}
+
 void report_angle_threshold() {
   bench::subheading("negligible-angle approximation on QFT(20)");
   const auto exact = circuits::build_qft(20);
@@ -277,6 +310,7 @@ int main(int argc, char** argv) {
   report_fusion_sweep();
   report_isa_sweep();
   report_kernel_rate();
+  report_state_init();
   report_angle_threshold();
   report_perf_counters();
   benchmark::Initialize(&argc, argv);

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <span>
 #include <thread>
 
 #include "qgear/common/strings.hpp"
@@ -72,8 +73,7 @@ void Transformer::check_memory(unsigned num_qubits) const {
 namespace {
 
 template <typename T>
-std::vector<std::complex<double>> widen(
-    const std::vector<std::complex<T>>& amps) {
+std::vector<std::complex<double>> widen(std::span<const std::complex<T>> amps) {
   std::vector<std::complex<double>> out(amps.size());
   for (std::size_t i = 0; i < amps.size(); ++i) {
     out[i] = std::complex<double>(amps[i]);
@@ -116,7 +116,7 @@ Result Transformer::run_typed(const Kernel& kernel,
     dopts.remap = true;
     const dist::RunResult<T> dres =
         dist::run_distributed<T>(kernel.circuit(), dopts);
-    if (run_opts.return_state) result.state = widen(dres.state);
+    if (run_opts.return_state) result.state = widen<T>(dres.state);
     result.counts = dres.counts;
     result.measured = dres.measured;
     for (const auto& s : dres.rank_stats) {
@@ -131,7 +131,7 @@ Result Transformer::run_typed(const Kernel& kernel,
     return result;
   }
 
-  sim::StateVector<T> state(kernel.num_qubits());
+  sim::StateVector<T> state(kernel.num_qubits(), pool_.get());
   std::vector<unsigned> measured;
   if (opts_.target == Target::cpu_aer) {
     // Aer-like baseline: strictly per-gate sweeps, no fusion.
@@ -155,7 +155,7 @@ Result Transformer::run_typed(const Kernel& kernel,
     result.counts =
         sim::sample_counts(state, measured, run_opts.shots, rng, pool_.get());
   }
-  if (run_opts.return_state) result.state = widen(state.amplitudes());
+  if (run_opts.return_state) result.state = widen<T>(state.amplitudes());
   result.wall_seconds = timer.seconds();
   return result;
 }

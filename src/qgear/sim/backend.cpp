@@ -9,6 +9,7 @@
 
 #include "qgear/common/error.hpp"
 #include "qgear/common/log.hpp"
+#include "qgear/obs/trace.hpp"
 #include "qgear/sim/fused.hpp"
 #include "qgear/sim/reference.hpp"
 #include "qgear/sim/state.hpp"
@@ -27,8 +28,21 @@ std::uint64_t statevector_bytes(unsigned n, std::uint64_t amp_bytes) {
 template <typename Engine, typename T>
 class StateVectorBackend : public Backend {
  public:
+  /// Keeps the buffer for an unchanged width and re-zeroes it on the
+  /// sweep pool; a new width frees the old buffer before allocating
+  /// (emplace destroys first), so two states are never resident at once.
   void init_state(unsigned num_qubits) override {
-    state_.emplace(num_qubits);
+    obs::Span span(obs::Tracer::global(), "state_init", "sim");
+    const bool reused = state_ && state_->num_qubits() == num_qubits;
+    if (reused) {
+      state_->reset(engine_.pool());
+    } else {
+      state_.emplace(num_qubits, engine_.pool());
+    }
+    if (span.active()) {
+      span.arg("qubits", std::uint64_t{num_qubits});
+      span.arg("reused", std::uint64_t{reused});
+    }
   }
   unsigned num_qubits() const override {
     return state_ ? state_->num_qubits() : 0;

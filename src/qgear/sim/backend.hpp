@@ -56,7 +56,10 @@ struct BackendOptions {
 
 /// Abstract simulation engine. Lifecycle: init_state -> apply_circuit
 /// (repeatable; circuits compose) -> sample / expectation. A second
-/// init_state discards the state and starts over.
+/// init_state discards the state and starts over. The statevector
+/// backends (reference, fused) keep their buffer when n is unchanged and
+/// re-zero it on their sweep pool; a new n frees the old buffer before
+/// allocating the new one.
 class Backend {
  public:
   virtual ~Backend() = default;

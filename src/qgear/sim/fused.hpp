@@ -150,7 +150,7 @@ class FusedEngine {
   /// Runs `qc` from |0...0> and returns the final state.
   StateVector<T> run(const qiskit::QuantumCircuit& qc,
                      std::vector<unsigned>* measured = nullptr) {
-    StateVector<T> state(qc.num_qubits());
+    StateVector<T> state(qc.num_qubits(), opts_.pool);
     apply(qc, state, measured);
     return state;
   }

@@ -8,8 +8,13 @@
 
 #include "qgear/common/error.hpp"
 #include "qgear/common/rng.hpp"
+#include "qgear/common/thread_pool.hpp"
 #include "qgear/dist/dist_backend.hpp"
+#include "qgear/obs/metrics.hpp"
+#include "qgear/obs/trace.hpp"
 #include "qgear/qiskit/circuit.hpp"
+#include "qgear/sim/state.hpp"
+#include "tests/sim_test_util.hpp"
 
 namespace qgear::sim {
 namespace {
@@ -170,6 +175,90 @@ TEST(BackendMemoryEstimate, OptionsChangeThePrice) {
   large.dd.max_nodes = 1 << 22;
   EXPECT_LT(Backend::memory_estimate_for("dd", qc, small),
             Backend::memory_estimate_for("dd", qc, large));
+}
+
+TEST(StateVectorInit, QubitRangeIsCheckedBeforeAllocating) {
+  // 35 qubits would ask for 512 GiB at fp64, and 64 shifts past pow2's
+  // range. Each must fail as a bad argument, which serve treats as
+  // permanent, not as a retryable bad_alloc.
+  for (const unsigned n : {0u, 35u, 64u}) {
+    EXPECT_THROW(StateVector<double>{n}, InvalidArgument) << n;
+    EXPECT_THROW(StateVector<float>{n}, InvalidArgument) << n;
+    for (const char* name : {"reference", "fused"}) {
+      auto be = Backend::create(name);
+      EXPECT_THROW(be->init_state(n), InvalidArgument) << name << " " << n;
+    }
+  }
+}
+
+/// Re-initialising a pooled statevector backend must leave exactly the
+/// state a fresh backend starts from: after circuit A, init_state and
+/// circuit B, the seeded counts and <Z...Z> equal those of a fresh
+/// backend that ran only B. The re-zeroing is one pass split across the
+/// pool, seen through the threadpool.rounds counter (ranges under 4,096
+/// amplitudes would run inline).
+TEST(StateVectorInit, PooledReInitMatchesAFreshBackend) {
+  constexpr unsigned kQubits = 14;
+  ThreadPool pool(4);
+  const obs::Counter& rounds =
+      obs::Registry::global().counter("threadpool.rounds");
+  const auto a = sim_test::random_circuit(kQubits, 80, 31);
+  const auto b = sim_test::random_circuit(kQubits, 80, 32);
+  const PauliTerm all_z = PauliTerm::parse(std::string(kQubits, 'Z'));
+  for (const char* name : {"reference", "fused"}) {
+    for (const bool fp32 : {false, true}) {
+      SCOPED_TRACE(std::string(name) + (fp32 ? " fp32" : " fp64"));
+      BackendOptions opts;
+      opts.pool = &pool;
+      opts.fp32 = fp32;
+      const auto finish_with_b = [&](Backend& be) {
+        be.apply_circuit(b);
+        Rng rng(17);
+        return std::make_pair(be.sample({}, 2000, rng), be.expectation(all_z));
+      };
+      auto fresh = Backend::create(name, opts);
+      fresh->init_state(kQubits);
+      const auto [fresh_counts, fresh_z] = finish_with_b(*fresh);
+
+      auto kept = Backend::create(name, opts);
+      kept->init_state(kQubits);
+      kept->apply_circuit(a);
+      const std::uint64_t rounds_before = rounds.value();
+      kept->init_state(kQubits);
+      // One zeroing pass, split across the pool.
+      EXPECT_EQ(rounds.value() - rounds_before, 1u);
+      const auto [counts, z] = finish_with_b(*kept);
+      EXPECT_EQ(counts, fresh_counts);
+      EXPECT_EQ(z, fresh_z);
+    }
+  }
+}
+
+TEST(StateVectorInit, StateInitSpanReportsReuse) {
+  obs::Tracer& tracer = obs::Tracer::global();
+  for (const char* name : {"reference", "fused"}) {
+    tracer.clear();
+    tracer.set_enabled(true);
+    auto be = Backend::create(name);
+    be->init_state(3);
+    be->init_state(3);
+    be->init_state(5);
+    tracer.set_enabled(false);
+    std::vector<std::string> seen;  // "<qubits>:<reused>" per state_init
+    for (const obs::SpanRecord& rec : tracer.snapshot()) {
+      if (rec.name != "state_init") continue;
+      EXPECT_EQ(rec.cat, "sim");
+      std::string qubits, reused;
+      for (const auto& [key, value] : rec.args) {
+        if (key == "qubits") qubits = value;
+        if (key == "reused") reused = value;
+      }
+      seen.push_back(qubits + ":" + reused);
+    }
+    const std::vector<std::string> expected = {"3:0", "3:1", "5:0"};
+    EXPECT_EQ(seen, expected) << name;
+  }
+  tracer.clear();
 }
 
 TEST(BackendRegistry, CustomFactoryIsCreatable) {

@@ -142,6 +142,24 @@ TEST(BackendMatrix, ReInitDiscardsState) {
   be->apply_circuit(qc);
   be->init_state(3);  // back to |000>
   EXPECT_NEAR(be->expectation(PauliTerm::parse("ZZZ")), 1.0, 1e-6);
+
+  // A width change starts over at the new width, and changing back
+  // starts over again: 3 -> 5 -> 3 qubits, dirtying the state each time.
+  be->apply_circuit(qc);
+  be->init_state(5);
+  EXPECT_EQ(be->num_qubits(), 5u);
+  EXPECT_NEAR(be->expectation(PauliTerm::parse("ZZZZZ")), 1.0, 1e-6);
+  qiskit::QuantumCircuit wide(5);
+  wide.x(0).x(2).x(4);
+  be->apply_circuit(wide);
+  EXPECT_NEAR(be->expectation(PauliTerm::parse("ZZZZZ")), -1.0, 1e-6);
+  be->init_state(3);
+  EXPECT_EQ(be->num_qubits(), 3u);
+  EXPECT_NEAR(be->expectation(PauliTerm::parse("ZZZ")), 1.0, 1e-6);
+  Rng rng(4);
+  const Counts counts = be->sample({}, 50, rng);
+  ASSERT_EQ(counts.size(), 1u);
+  EXPECT_EQ(counts.begin()->first, 0u);
 }
 
 TEST(BackendMatrix, SixteenQubitShallowCircuit) {
