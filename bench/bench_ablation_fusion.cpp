@@ -178,6 +178,44 @@ void report_kernel_rate() {
       "and fp64 avx2) runs the in-register lane-flip path, not scalar.\n");
 }
 
+/// Planner cost on serve12_open-shaped circuits: 40 transpiled random
+/// circuits of 12 qubits and 120 blocks, planned at widths 2-5. Planning
+/// moves no sim.* counter but sim.fusion_plans.
+void report_planner() {
+  constexpr std::uint64_t kCircuits = 40;
+  bench::subheading(
+      "fusion planning (40 transpiled 12-qubit, 120-block circuits)");
+  std::vector<qiskit::QuantumCircuit> batch;
+  for (std::uint64_t i = 0; i < kCircuits; ++i) {
+    batch.push_back(qiskit::transpile(circuits::generate_random_circuit(
+        {.num_qubits = 12, .num_blocks = 120, .measure = false,
+         .seed = 100 + i})));
+  }
+  bench::Table table({"width", "blocks/circuit", "ms/circuit", "us/gate"});
+  for (unsigned w = 2; w <= 5; ++w) {
+    std::uint64_t blocks = 0, gates = 0;
+    double t = 0;
+    {
+      bench::StageTimer stage(strfmt("plan_fusion.w%u", w));
+      for (const qiskit::QuantumCircuit& qc : batch) {
+        const sim::FusionPlan plan = sim::plan_fusion(qc, {.max_width = w});
+        blocks += plan.blocks.size();
+        gates += plan.input_gates;
+      }
+      t = stage.seconds();
+    }
+    table.row({std::to_string(w),
+               strfmt("%.1f", double(blocks) / double(kCircuits)),
+               strfmt("%.3f", t * 1e3 / double(kCircuits)),
+               strfmt("%.3f", t * 1e6 / double(gates))});
+  }
+  table.print();
+  std::printf(
+      "expected shape: cost per gate nearly flat up to width 4, where fixed "
+      "per-gate costs dominate, then rising with the 2^(2w)-entry sweep "
+      "each gate makes of its block's matrix.\n");
+}
+
 /// State set-up alone: a 24-qubit fused backend on a 4-thread pool. The
 /// first init_state allocates the buffer and zeroes it on the pool
 /// (fresh); a second at the same width re-zeroes the kept buffer. No sim.*
@@ -310,6 +348,7 @@ int main(int argc, char** argv) {
   report_fusion_sweep();
   report_isa_sweep();
   report_kernel_rate();
+  report_planner();
   report_state_init();
   report_angle_threshold();
   report_perf_counters();

@@ -119,9 +119,11 @@ struct SweepCost {
 
 /// The statevector roofline. Each sweep moves kSweepBytesPerStateByte
 /// state bytes, or spends 2^width complex MACs per amplitude on its dense
-/// share if that takes longer, and pays one launch. Building the blocks
-/// composes each merged gate by a (2^width)^3 matrix multiply: negligible
-/// at width <= 3, dominant for wide blocks on small states.
+/// share if that takes longer, and pays one launch. The build term
+/// charges 8 * (2^width)^3 flops per merged gate at the dense rate:
+/// negligible at width <= 3, dominant for wide blocks on small states. It
+/// is a width-scaling charge, not a model of sim::plan_fusion, which
+/// composes each gate in place in one sweep of the block's matrix.
 SweepCost price_sweeps(const SweepWork& work, const SweepRates& rates);
 
 /// Measures this host's sustained sweep bandwidth (bytes/s) at `precision`

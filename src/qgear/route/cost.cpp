@@ -216,7 +216,17 @@ TimeEstimate time_estimate_for(const std::string& backend,
                                const qiskit::QuantumCircuit& qc,
                                const Calibration& calib,
                                const sim::BackendOptions& base) {
-  const CircuitFeatures f = extract_features(qc, base.fusion);
+  return time_estimate_for(backend, precision, qc,
+                           sim::plan_fusion(qc, base.fusion), calib, base);
+}
+
+TimeEstimate time_estimate_for(const std::string& backend,
+                               const std::string& precision,
+                               const qiskit::QuantumCircuit& qc,
+                               const sim::FusionPlan& plan,
+                               const Calibration& calib,
+                               const sim::BackendOptions& base) {
+  const CircuitFeatures f = extract_features(qc, plan);
   CandidateConfig cfg;
   cfg.backend = backend;
   cfg.precision = precision.empty() ? "fp64" : precision;

@@ -74,9 +74,19 @@ TimeEstimate time_estimate(const qiskit::QuantumCircuit& qc,
                            const sim::BackendOptions& base,
                            std::uint64_t fused_sweeps);
 
-/// Convenience used by serve admission: price circuit `qc` on a fixed,
-/// already-chosen backend/precision at the active ISA and the configured
-/// fusion width, without enumerating alternatives.
+/// Prices circuit `qc` on a fixed, already-chosen backend/precision at
+/// the active ISA and `base.fusion.max_width`, without enumerating
+/// alternatives. `plan` is `qc`'s fusion plan at that width, which the
+/// caller already holds (serve admission prices a fused job from the plan
+/// its worker runs).
+TimeEstimate time_estimate_for(const std::string& backend,
+                               const std::string& precision,
+                               const qiskit::QuantumCircuit& qc,
+                               const sim::FusionPlan& plan,
+                               const Calibration& calib,
+                               const sim::BackendOptions& base = {});
+
+/// As above, planning `qc` at `base.fusion` first.
 TimeEstimate time_estimate_for(const std::string& backend,
                                const std::string& precision,
                                const qiskit::QuantumCircuit& qc,

@@ -47,6 +47,11 @@ bool is_rotation_gate(qiskit::GateKind kind) {
 
 CircuitFeatures extract_features(const qiskit::QuantumCircuit& qc,
                                  const sim::FusionOptions& fusion) {
+  return extract_features(qc, sim::plan_fusion(qc, fusion));
+}
+
+CircuitFeatures extract_features(const qiskit::QuantumCircuit& qc,
+                                 const sim::FusionPlan& plan) {
   CircuitFeatures f;
   f.num_qubits = qc.num_qubits();
   f.depth = qc.depth();
@@ -103,7 +108,6 @@ CircuitFeatures extract_features(const qiskit::QuantumCircuit& qc,
     f.mean_bond_exponent = sum / static_cast<double>(n - 1);
   }
 
-  const sim::FusionPlan plan = sim::plan_fusion(qc, fusion);
   f.fused_blocks = plan.blocks.size();
   for (const sim::FusedBlock& b : plan.blocks) {
     switch (b.kernel_class) {

@@ -8,9 +8,9 @@
 // proxy (the same per-cut bond bound MpsEngine::memory_estimate uses),
 // and the Clifford fraction (decision diagrams thrive on stabilizer-ish
 // structure). Extraction is one pass over the instruction list plus one
-// fusion plan; everything downstream (route/cost.hpp) is arithmetic on
-// this struct, so planning stays cheap enough to run per job at serve
-// admission.
+// fusion plan, which a caller that already holds one (serve admission,
+// route::plan) passes in; everything downstream (route/cost.hpp) is
+// arithmetic on this struct.
 #pragma once
 
 #include <cstdint>
@@ -65,7 +65,12 @@ struct CircuitFeatures {
 };
 
 /// Extracts features from `qc` (callers transpile first; route::plan
-/// does). `fusion` controls the width used for the block-mix features.
+/// does), taking the block mix from `plan`, a fusion plan of `qc` the
+/// caller already holds.
+CircuitFeatures extract_features(const qiskit::QuantumCircuit& qc,
+                                 const sim::FusionPlan& plan);
+
+/// Plans `qc` at `fusion` and extracts its features from that plan.
 CircuitFeatures extract_features(const qiskit::QuantumCircuit& qc,
                                  const sim::FusionOptions& fusion = {});
 

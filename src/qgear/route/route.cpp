@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 
 #include "qgear/common/strings.hpp"
 #include "qgear/obs/metrics.hpp"
@@ -70,8 +71,23 @@ Placement plan(const qiskit::QuantumCircuit& qc, const Budget& budget,
 
   Placement out;
   const qiskit::QuantumCircuit tqc = qiskit::transpile(qc);
-  out.features = extract_features(tqc, opts.base.fusion);
+  // One fusion plan per distinct width: the base width's gives the
+  // features, and each width's block count prices its fused candidates
+  // at every ISA and precision.
+  const auto plan_at = [&](unsigned width) {
+    sim::FusionOptions fo = opts.base.fusion;
+    fo.max_width = width;
+    return sim::plan_fusion(tqc, fo);
+  };
+  out.features = extract_features(tqc, plan_at(opts.base.fusion.max_width));
   const CircuitFeatures& f = out.features;
+  std::map<unsigned, std::uint64_t> width_sweeps = {
+      {opts.base.fusion.max_width, f.fused_blocks}};
+  for (unsigned w : opts.fusion_widths) {
+    if (!width_sweeps.contains(w)) {
+      width_sweeps[w] = plan_at(w).blocks.size();
+    }
+  }
 
   // Candidate space. ISA tiers up to best_supported (or just the active
   // one); fused widths from opts; fp32 only where the engine supports it.
@@ -100,14 +116,6 @@ Placement plan(const qiskit::QuantumCircuit& qc, const Budget& budget,
   if (opts.include_dist && sim::Backend::is_registered("dist"))
     configs.push_back({"dist", "fp64", sim::active_isa(), 0});
 
-  // Fusion plans are priced once per width, shared across ISA/precision.
-  std::vector<std::uint64_t> width_sweeps(opts.fusion_widths.size(), 0);
-  for (std::size_t i = 0; i < opts.fusion_widths.size(); ++i) {
-    sim::FusionOptions fo = opts.base.fusion;
-    fo.max_width = opts.fusion_widths[i];
-    width_sweeps[i] = sim::plan_fusion(tqc, fo).blocks.size();
-  }
-
   const auto excluded = [&](const std::string& backend) {
     return std::find(opts.exclude_backends.begin(),
                      opts.exclude_backends.end(),
@@ -120,12 +128,8 @@ Placement plan(const qiskit::QuantumCircuit& qc, const Budget& budget,
       reg.counter("route.candidates_excluded").add();
       continue;
     }
-    std::uint64_t sweeps = 0;
-    if (cfg.backend == "fused") {
-      for (std::size_t i = 0; i < opts.fusion_widths.size(); ++i)
-        if (opts.fusion_widths[i] == cfg.fusion_width)
-          sweeps = width_sweeps[i];
-    }
+    const std::uint64_t sweeps =
+        cfg.backend == "fused" ? width_sweeps.at(cfg.fusion_width) : 0;
     const TimeEstimate est =
         time_estimate(tqc, f, cfg, opts.calibration, opts.base, sweeps);
     reg.counter("route.candidates_considered").add();

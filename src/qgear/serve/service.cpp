@@ -212,6 +212,8 @@ JobTicket SimService::submit(JobSpec spec) {
       admit_span.arg("routed_backend", state->backend);
       admit_span.arg("routed_precision", state->precision);
     }
+    // A routed fused job compiles now too, so the worker only runs it.
+    if (state->backend == "fused") compile(*state);
   } else {
     QGEAR_CHECK_ARG(sim::Backend::is_registered(state->backend),
                     "serve: unknown backend '" + state->backend + "'");
@@ -243,10 +245,22 @@ JobTicket SimService::submit(JobSpec spec) {
       rejected_counter(RejectReason::memory_budget).add();
       return JobTicket(RejectReason::memory_budget);
     }
-    state->est_seconds =
-        route::time_estimate_for(state->backend, state->precision,
-                                 state->spec.circuit, opts_.calibration, bo)
-            .seconds;
+    if (state->backend == "fused") {
+      // Compiled once here, through the cache: the plan the worker will
+      // run is also the one the job is priced from.
+      compile(*state);
+      const CompiledCircuit& cc = *state->compiled;
+      state->est_seconds =
+          route::time_estimate_for(state->backend, state->precision,
+                                   cc.transpiled, cc.plan, opts_.calibration,
+                                   bo)
+              .seconds;
+    } else {
+      state->est_seconds =
+          route::time_estimate_for(state->backend, state->precision,
+                                   state->spec.circuit, opts_.calibration, bo)
+              .seconds;
+    }
   }
   // Fair-share charge: the cost model's execute-time estimate. Replaces
   // the old gates×amplitudes proxy — tenants are now charged in the
@@ -289,6 +303,17 @@ void SimService::worker_loop() {
   }
 }
 
+void SimService::compile(JobState& job) {
+  WallTimer timer;
+  obs::Span span(obs::Tracer::global(), "serve.compile", "serve");
+  job.compiled = cache_.get_or_compile(
+      job.fingerprint,
+      [&] { return compile_circuit(job.spec.circuit, opts_.fusion); },
+      &job.cache_hit);
+  job.compile_s = timer.seconds();
+  if (span.active()) span.arg("cache_hit", job.cache_hit ? "true" : "false");
+}
+
 void SimService::finish(JobState& job, JobResult&& result) {
   result.job_id = job.id;
   result.tenant = job.spec.tenant;
@@ -301,6 +326,7 @@ void SimService::finish(JobState& job, JobResult&& result) {
     result.fallback_chain.push_back(job.backend);
   }
   remove_checkpoint(job);
+  job.compiled.reset();
   status_counter(result.status).add();
   queue_wait_hist().observe(result.queue_wait_s * 1e6);
   e2e_hist().observe(result.e2e_s * 1e6);
@@ -382,19 +408,11 @@ bool SimService::process(FairScheduler::Popped popped) {
       return false;
     }
 
-    WallTimer compile_timer;
-    std::shared_ptr<const CompiledCircuit> compiled;
-    {
-      obs::Span compile_span(obs::Tracer::global(), "serve.compile", "serve");
-      compiled = cache_.get_or_compile(
-          job.fingerprint,
-          [&] { return compile_circuit(job.spec.circuit, opts_.fusion); },
-          &result.cache_hit);
-      if (compile_span.active()) {
-        compile_span.arg("cache_hit", result.cache_hit ? "true" : "false");
-      }
-    }
-    result.compile_s = compile_timer.seconds();
+    // Admission compiled the job; only one degraded onto the fused path
+    // since then has no plan yet.
+    if (!job.compiled) compile(job);
+    result.cache_hit = job.cache_hit;
+    result.compile_s = job.compile_s;
 
     if (job.cancel_requested.load(std::memory_order_relaxed)) {
       result.status = JobStatus::cancelled;
@@ -409,8 +427,9 @@ bool SimService::process(FairScheduler::Popped popped) {
 
     WallTimer exec_timer;
     const bool ran_to_completion =
-        job.precision == "fp64" ? execute_plan<double>(job, *compiled, &result)
-                                : execute_plan<float>(job, *compiled, &result);
+        job.precision == "fp64"
+            ? execute_plan<double>(job, *job.compiled, &result)
+            : execute_plan<float>(job, *job.compiled, &result);
     result.execute_s = exec_timer.seconds();
     if (ran_to_completion) {
       result.status = JobStatus::completed;
@@ -446,6 +465,11 @@ bool SimService::execute_plan(JobState& job, const CompiledCircuit& compiled,
     start = std::min<std::size_t>(try_restore_checkpoint<T>(job, &state),
                                   blocks.size());
     result->checkpoint_blocks = start;
+  }
+  obs::Span sweep_span(obs::Tracer::global(), "sweep", "sim");
+  if (sweep_span.active()) {
+    sweep_span.arg("blocks", std::uint64_t{blocks.size() - start});
+    sweep_span.arg("qubits", std::uint64_t{state.num_qubits()});
   }
   WallTimer timer;
   const bool finished = sim::run_fused_blocks<T>(

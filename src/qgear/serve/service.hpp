@@ -2,11 +2,16 @@
 //
 // Sits above the existing engines and turns them into a server:
 //
-//   submit(JobSpec) ── admission control ──> FairScheduler (bounded,
-//     priority + weighted fair share, deadlines) ──> worker pool
-//     (ThreadPool jobs) ──> CompilationCache (fingerprint-keyed,
-//     single-flight) ──> fused-block execution with cooperative
+//   submit(JobSpec) ── admission control; a fused job compiles here
+//     through the CompilationCache (fingerprint-keyed, single-flight) and
+//     is priced from that plan ──> FairScheduler (bounded, priority +
+//     weighted fair share, deadlines) ──> worker pool (ThreadPool jobs)
+//     ──> fused-block execution of the job's plan, with cooperative
 //     cancellation/timeout checks between blocks ──> JobResult promise.
+//
+// Each distinct circuit is planned once: admission's compile feeds both
+// the price and the worker. Admission compiles run on the submitting
+// threads.
 //
 // Execution runs each job single-threaded (inter-job parallelism across
 // the worker pool instead of intra-job sweeps), which is the right trade
@@ -22,8 +27,9 @@
 // graceful shutdown.
 //
 // Everything is instrumented through qgear::obs: serve.* counters and
-// latency histograms (queue wait / compile / execute / e2e), plus a
-// serve.job span per executed job and a fused_block span per block run.
+// latency histograms (queue wait / compile / execute / e2e), plus
+// serve.submit and serve.compile spans at admission, a serve.job span per
+// executed job, and a sweep span around its fused_block spans.
 #pragma once
 
 #include <condition_variable>
@@ -117,8 +123,10 @@ class SimService {
   SimService(const SimService&) = delete;
   SimService& operator=(const SimService&) = delete;
 
-  /// Admission-controlled submission; never blocks. Inspect
-  /// ticket.accepted() / reject_reason().
+  /// Admission-controlled submission; never waits for queue space.
+  /// A fused job is compiled in this call, through the cache (a
+  /// concurrent submitter of the same circuit waits for that one
+  /// compile). Inspect ticket.accepted() / reject_reason().
   JobTicket submit(JobSpec spec);
 
   /// Stops admission and blocks until every accepted job is terminal.
@@ -150,6 +158,9 @@ class SimService {
                     JobResult* result);
   bool execute_backend(JobState& job, sim::EngineStats* stats);
   void finish(JobState& job, JobResult&& result);
+  /// Fetches a fused job's plan through the compilation cache (compiling
+  /// on a miss) into job.compiled, with its cache_hit and compile_s.
+  void compile(JobState& job);
   sim::BackendOptions backend_options() const;
 
   /// Decides whether the failed attempt retries (with backoff), degrades

@@ -101,7 +101,6 @@ std::vector<unsigned> instruction_qubits(const qiskit::Instruction& inst) {
 }
 
 CMat instruction_matrix(const qiskit::Instruction& inst) {
-  using qiskit::GateKind;
   const qiskit::GateInfo& info = qiskit::gate_info(inst.kind);
   QGEAR_CHECK_ARG(info.unitary, "instruction_matrix: not a unitary gate");
 
@@ -115,36 +114,11 @@ CMat instruction_matrix(const qiskit::Instruction& inst) {
     return m;
   }
 
-  CMat m = CMat::identity(4);
-  if (inst.kind == GateKind::swap) {
-    // Permutation |01> <-> |10> in the local (ascending-qubit) basis.
-    m.at(1, 1) = 0;
-    m.at(2, 2) = 0;
-    m.at(1, 2) = 1;
-    m.at(2, 1) = 1;
-    return m;
-  }
-
-  // Controlled gate: local bit position of the control/target depends on
-  // the qubit ordering within the ascending pair.
-  const qiskit::Mat2 g = qiskit::controlled_target_matrix(inst.kind,
-                                                          inst.param);
-  const unsigned control_bit = inst.q0 < inst.q1 ? 0 : 1;
-  const unsigned target_bit = 1 - control_bit;
-  for (std::uint64_t r = 0; r < 4; ++r) m.at(r, r) = 0;
-  for (std::uint64_t col = 0; col < 4; ++col) {
-    if (!test_bit(col, control_bit)) {
-      m.at(col, col) = 1.0;  // control 0: identity
-      continue;
-    }
-    const std::uint64_t col_t = test_bit(col, target_bit) ? 1 : 0;
-    // Column `col` maps into rows with the same control bit and either
-    // target value, weighted by g.
-    const std::uint64_t row0 = clear_bit(col, target_bit);
-    const std::uint64_t row1 = set_bit(col, target_bit);
-    m.at(row0, col) = g[0 * 2 + col_t];
-    m.at(row1, col) = g[1 * 2 + col_t];
-  }
+  const qiskit::Mat4 u = qiskit::gate_matrix_2q(
+      inst.kind, inst.param, static_cast<unsigned>(inst.q0),
+      static_cast<unsigned>(inst.q1));
+  CMat m(4);
+  for (std::uint64_t i = 0; i < 16; ++i) m.at(i / 4, i % 4) = u[i];
   return m;
 }
 

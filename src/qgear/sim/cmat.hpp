@@ -1,4 +1,5 @@
-// Small dense complex matrices used by the gate-fusion planner.
+// Small dense complex matrices: the fusion planner's block matrices, and
+// the product-of-embedded-gates oracle its tests check blocks against.
 #pragma once
 
 #include <complex>
@@ -25,6 +26,8 @@ class CMat {
     return a_[r * dim_ + c];
   }
   const std::vector<std::complex<double>>& data() const { return a_; }
+  /// Row-major storage, for kernels that update the matrix in place.
+  std::complex<double>* mutable_data() { return a_.data(); }
   std::vector<std::complex<double>> take() && { return std::move(a_); }
 
   /// this * rhs (matrix product).

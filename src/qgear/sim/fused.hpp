@@ -101,15 +101,7 @@ class FusedEngine {
              std::vector<unsigned>* measured = nullptr) {
     QGEAR_CHECK_ARG(qc.num_qubits() == state.num_qubits(),
                     "engine: circuit and state qubit counts differ");
-    FusionPlan plan;
-    {
-      obs::Span fuse_span(obs::Tracer::global(), "fuse", "sim");
-      plan = plan_fusion(qc, opts_.fusion);
-      if (fuse_span.active()) {
-        fuse_span.arg("input_gates", std::uint64_t{plan.input_gates});
-        fuse_span.arg("blocks", std::uint64_t{plan.blocks.size()});
-      }
-    }
+    const FusionPlan plan = plan_fusion(qc, opts_.fusion);
     apply_plan(plan, state);
     if (measured != nullptr) {
       measured->insert(measured->end(), plan.measured.begin(),

@@ -5,6 +5,15 @@
 // `max_width` qubits; each fused block then costs a single amplitude
 // sweep instead of one sweep per gate. Barriers flush the current block;
 // measurements are collected for sampling.
+//
+// Planning runs in two steps per block. Grouping decides the block's
+// qubits and gates. Composing then builds its matrix at that final width,
+// in place, through the dispatched kernel table: the row-major 2^w x 2^w
+// matrix is treated as a 2w-qubit state whose high w bits index the row,
+// so each gate is one apply_1q / apply_2q_dense<double> sweep on qubits
+// w + j. No per-gate embedding or temporary matrix is built; the
+// embed-and-multiply product (cmat.hpp) is the tests' oracle. Each call
+// records a `fuse` span and adds 1 to the `sim.fusion_plans` counter.
 #pragma once
 
 #include <complex>

@@ -13,6 +13,7 @@
 #include "qgear/circuits/random_blocks.hpp"
 #include "qgear/common/error.hpp"
 #include "qgear/dist/dist_backend.hpp"
+#include "qgear/obs/metrics.hpp"
 #include "qgear/perfmodel/model.hpp"
 #include "qgear/qiskit/circuit.hpp"
 #include "qgear/route/calibration.hpp"
@@ -293,6 +294,29 @@ TEST(RoutePlan, TimeBudgetRejectsSlowCandidates) {
   EXPECT_FALSE(p.feasible);
   for (const Candidate& c : p.alternatives)
     EXPECT_FALSE(c.feasible);
+}
+
+TEST(RoutePlan, PlansEachFusionWidthOnce) {
+  // The base width's plan gives the features and prices that width's
+  // fused candidates; every other width is planned once for all ISAs and
+  // precisions.
+  obs::Counter& plans = obs::Registry::global().counter("sim.fusion_plans");
+  const auto qc = circuits::generate_random_circuit(
+      {.num_qubits = 10, .num_blocks = 40, .measure = false, .seed = 5});
+  const auto plans_for = [&](const RouteOptions& ro) {
+    const std::uint64_t before = plans.value();
+    plan(qc, Budget{}, ro);
+    return plans.value() - before;
+  };
+  RouteOptions cli;  // widths {3, 5, 7} at the default base width 5
+  cli.calibration = Calibration{};
+  ASSERT_EQ(cli.base.fusion.max_width, 5u);
+  EXPECT_EQ(plans_for(cli), 3u);
+  RouteOptions serve;  // auto placement: only the width jobs compile at
+  serve.calibration = Calibration{};
+  serve.base.fusion.max_width = 4;
+  serve.fusion_widths = {4};
+  EXPECT_EQ(plans_for(serve), 1u);
 }
 
 TEST(RouteReport, ShapeAndRoundTrip) {

@@ -10,6 +10,7 @@
 
 #include "qgear/obs/context.hpp"
 #include "qgear/obs/json.hpp"
+#include "qgear/obs/metrics.hpp"
 #include "qgear/qiskit/circuit.hpp"
 #include "qgear/serve/loadgen.hpp"
 
@@ -86,6 +87,29 @@ TEST(SimService, DuplicateCircuitsServeFromCache) {
   EXPECT_GE(stats.hits, 5u);
 }
 
+TEST(SimService, PlansOncePerDistinctCircuit) {
+  // Admission compiles each fused job through the cache and prices it
+  // from that plan; the worker runs the same plan. So 12 jobs over 4
+  // distinct circuits plan fusion 4 times.
+  obs::Counter& plans = obs::Registry::global().counter("sim.fusion_plans");
+  SimService svc(small_service(2));
+  const std::uint64_t before = plans.value();
+  std::vector<JobTicket> tickets;
+  for (int round = 0; round < 3; ++round) {
+    for (int c = 0; c < 4; ++c) {
+      tickets.push_back(svc.submit(spec_for(layered_circuit(5, 2, 0.1 * c))));
+      ASSERT_TRUE(tickets.back().accepted());
+    }
+  }
+  for (auto& t : tickets) {
+    EXPECT_EQ(t.result().get().status, JobStatus::completed);
+  }
+  EXPECT_EQ(plans.value() - before, 4u);
+  const auto stats = svc.cache().stats();
+  EXPECT_EQ(stats.misses, 4u);
+  EXPECT_EQ(stats.hits, 8u);
+}
+
 TEST(SimService, DrainCompletesEverythingWithoutDrops) {
   SimService svc(small_service(3));
   std::vector<JobTicket> tickets;
@@ -109,7 +133,7 @@ TEST(SimService, DrainCompletesEverythingWithoutDrops) {
 TEST(SimService, ExecutionTimeoutIsHonored) {
   SimService svc(small_service(1));
   JobSpec spec = busy_spec();
-  spec.timeout_s = 1e-6;  // expires long before compilation finishes
+  spec.timeout_s = 1e-6;  // expires before a worker picks the job up
   const JobResult result = svc.submit(std::move(spec)).result().get();
   EXPECT_EQ(result.status, JobStatus::timed_out);
   EXPECT_EQ(result.stats.sweeps, 0u);  // no completed-job stats folded

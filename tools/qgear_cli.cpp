@@ -875,6 +875,8 @@ int cmd_estimate(const Args& args) {
     for (std::uint32_t c = 0; c < tensor.num_circuits(); ++c) {
       const auto qc = core::decode_circuit(tensor, c);
       const auto tqc = qiskit::transpile(qc);
+      // One fusion plan per circuit prices every backend and precision.
+      const sim::FusionPlan plan = sim::plan_fusion(tqc, bo.fusion);
       std::printf("[%u] %s (%u qubits, %zu gates):\n", c, qc.name().c_str(),
                   qc.num_qubits(), qc.size());
       std::printf("  %-10s %12s %12s %6s\n", "backend", "memory", "time",
@@ -884,8 +886,10 @@ int cmd_estimate(const Args& args) {
         // it and the propagated error stays inside --max-error. The
         // memory column is at that precision (the serve admission
         // currency).
-        const auto e32 = route::time_estimate_for(nm, "fp32", tqc, calib, bo);
-        const auto e64 = route::time_estimate_for(nm, "fp64", tqc, calib, bo);
+        const auto e32 =
+            route::time_estimate_for(nm, "fp32", tqc, plan, calib, bo);
+        const auto e64 =
+            route::time_estimate_for(nm, "fp64", tqc, plan, calib, bo);
         const bool pick32 = e32.supported && e32.error_bound <= max_error &&
                             e32.seconds <= e64.seconds;
         const auto& t = pick32 ? e32 : e64;
