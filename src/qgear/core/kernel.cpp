@@ -5,12 +5,8 @@
 
 namespace qgear::core {
 
-Kernel::Kernel(qiskit::QuantumCircuit qc)
-    : circuit_(std::move(qc)),
-      name_(circuit_.name()),
-      num_qubits_(circuit_.num_qubits()),
-      ops_(circuit_.instructions()) {
-  for (const qiskit::Instruction& inst : ops_) {
+Kernel::Kernel(qiskit::QuantumCircuit qc) : circuit_(std::move(qc)) {
+  for (const qiskit::Instruction& inst : circuit_.instructions()) {
     QGEAR_CHECK_ARG(qiskit::is_native_gate(inst.kind),
                     "kernel: non-native gate survived transpilation");
   }
@@ -32,7 +28,7 @@ std::size_t Kernel::num_2q_gates() const { return circuit_.num_2q_gates(); }
 
 std::vector<unsigned> Kernel::measured_qubits() const {
   std::vector<unsigned> out;
-  for (const qiskit::Instruction& inst : ops_) {
+  for (const qiskit::Instruction& inst : circuit_.instructions()) {
     if (inst.kind == qiskit::GateKind::measure) {
       out.push_back(static_cast<unsigned>(inst.q0));
     }

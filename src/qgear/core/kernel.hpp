@@ -25,10 +25,12 @@ class Kernel {
   /// kernels" step of Sec. 2.2.
   static Kernel from_tensor(const GateTensor& tensor, std::uint32_t index);
 
-  const std::string& name() const { return name_; }
-  unsigned num_qubits() const { return num_qubits_; }
-  const std::vector<qiskit::Instruction>& ops() const { return ops_; }
-  std::size_t size() const { return ops_.size(); }
+  const std::string& name() const { return circuit_.name(); }
+  unsigned num_qubits() const { return circuit_.num_qubits(); }
+  const std::vector<qiskit::Instruction>& ops() const {
+    return circuit_.instructions();
+  }
+  std::size_t size() const { return circuit_.size(); }
 
   /// Number of entangling (two-qubit) operations.
   std::size_t num_2q_gates() const;
@@ -43,9 +45,6 @@ class Kernel {
   explicit Kernel(qiskit::QuantumCircuit qc);
 
   qiskit::QuantumCircuit circuit_;
-  std::string name_;
-  unsigned num_qubits_;
-  std::vector<qiskit::Instruction> ops_;
 };
 
 }  // namespace qgear::core

@@ -41,9 +41,6 @@ Transformer::Transformer(TransformerOptions opts) : opts_(opts) {
   }
   QGEAR_CHECK_ARG(opts_.fusion_width >= 1 && opts_.fusion_width <= 10,
                   "transformer: fusion width out of range");
-  if (opts_.threads > 0) {
-    pool_ = std::make_unique<ThreadPool>(opts_.threads);
-  }
 }
 
 Transformer::~Transformer() = default;
@@ -131,18 +128,16 @@ Result Transformer::run_typed(const Kernel& kernel,
     return result;
   }
 
-  sim::StateVector<T> state(kernel.num_qubits(), pool_.get());
+  sim::StateVector<T> state(kernel.num_qubits());
   std::vector<unsigned> measured;
   if (opts_.target == Target::cpu_aer) {
     // Aer-like baseline: strictly per-gate sweeps, no fusion.
-    sim::ReferenceEngine<T> engine({.pool = pool_.get()});
+    sim::ReferenceEngine<T> engine;
     engine.apply(kernel.circuit(), state, &measured);
     result.stats = engine.stats();
   } else {
     typename sim::FusedEngine<T>::Options fopts;
     fopts.fusion.max_width = opts_.fusion_width;
-    fopts.fusion.angle_threshold = opts_.angle_threshold;
-    fopts.pool = pool_.get();
     sim::FusedEngine<T> engine(fopts);
     engine.apply(kernel.circuit(), state, &measured);
     result.stats = engine.stats();
@@ -152,8 +147,7 @@ Result Transformer::run_typed(const Kernel& kernel,
   result.measured = measured;
   if (run_opts.shots > 0) {
     Rng rng(opts_.seed);
-    result.counts =
-        sim::sample_counts(state, measured, run_opts.shots, rng, pool_.get());
+    result.counts = sim::sample_counts(state, measured, run_opts.shots, rng);
   }
   if (run_opts.return_state) result.state = widen<T>(state.amplitudes());
   result.wall_seconds = timer.seconds();
@@ -228,10 +222,9 @@ std::vector<Result> Transformer::run_batch(std::span<const Kernel> kernels,
   for (int d = 0; d < opts_.devices; ++d) {
     workers.emplace_back([&, d] {
       try {
-        // Per-device single-GPU configuration (no shared pool).
+        // Per-device single-GPU configuration.
         TransformerOptions device_opts = opts_;
         device_opts.target = Target::nvidia;
-        device_opts.threads = 0;
         device_opts.seed = opts_.seed + static_cast<std::uint64_t>(d);
         Transformer device(device_opts);
         for (;;) {

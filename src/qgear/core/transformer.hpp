@@ -2,19 +2,20 @@
 //
 // Mirrors the paper's CUDA-Q target selection:
 //   cpu_aer     — Qiskit-Aer-style CPU baseline (per-gate sweeps, no fusion)
-//   nvidia      — single-device fused engine (thread pool = SM warps)
+//   nvidia      — single-device fused engine
 //   nvidia_mgpu — one circuit distributed across `devices` ranks
 //   nvidia_mqpu — circuit-level parallelism: a batch spread across devices
 //
 // Memory budgeting reproduces the paper's feasibility walls (40 GB A100 →
 // 32-qubit fp32 ceiling; 4 GPUs → 34): a run whose state exceeds the
 // per-device budget throws OutOfMemoryBudget.
+//
+// The single-device targets sweep on the calling thread; mgpu runs one
+// thread per rank and mqpu one per device.
 #pragma once
 
 #include <complex>
-#include <memory>
 
-#include "qgear/common/thread_pool.hpp"
 #include "qgear/core/kernel.hpp"
 #include "qgear/sim/observable.hpp"
 #include "qgear/sim/sampler.hpp"
@@ -36,13 +37,9 @@ struct TransformerOptions {
   int devices = 1;
   /// Fusion width for the GPU-style engines (the paper uses 5).
   unsigned fusion_width = 5;
-  /// Rotations below this magnitude are dropped (0 disables, App. D.2).
-  double angle_threshold = 0.0;
   /// Per-device amplitude-memory budget; 0 disables the check. The paper's
   /// single A100 exposes 40 GB.
   std::uint64_t device_memory_bytes = 0;
-  /// Worker threads for the single-device engines (0 = none/serial).
-  unsigned threads = 0;
   std::uint64_t seed = 20240915;
 };
 
@@ -105,7 +102,6 @@ class Transformer {
   Result run_typed(const Kernel& kernel, const RunOptions& run_opts);
 
   TransformerOptions opts_;
-  std::unique_ptr<ThreadPool> pool_;  // only when opts_.threads > 0
 };
 
 }  // namespace qgear::core

@@ -12,6 +12,9 @@ namespace qgear::dist {
 
 namespace {
 
+// Each rank sweeps through a one-worker pool.
+constexpr unsigned kThreadsPerRank = 1;
+
 class DistBackend final : public sim::Backend {
  public:
   explicit DistBackend(const sim::BackendOptions& o) : opts_(o) {}
@@ -97,7 +100,7 @@ class DistBackend final : public sim::Backend {
     ro.num_ranks = static_cast<int>(resolved_ranks());
     ro.fusion_width = opts_.fusion.max_width;
     ro.remap = true;
-    ro.threads_per_rank = opts_.dist_threads_per_rank;
+    ro.threads_per_rank = kThreadsPerRank;
     return ro;
   }
 

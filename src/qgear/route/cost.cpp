@@ -216,8 +216,13 @@ TimeEstimate time_estimate_for(const std::string& backend,
                                const qiskit::QuantumCircuit& qc,
                                const Calibration& calib,
                                const sim::BackendOptions& base) {
-  return time_estimate_for(backend, precision, qc,
-                           sim::plan_fusion(qc, base.fusion), calib, base);
+  // Only the fused and dist prices read the block counts; the others are
+  // priced with an empty plan, which leaves their estimate unchanged.
+  const bool reads_blocks = backend == "fused" || backend == "dist";
+  return time_estimate_for(
+      backend, precision, qc,
+      reads_blocks ? sim::plan_fusion(qc, base.fusion) : sim::FusionPlan{},
+      calib, base);
 }
 
 TimeEstimate time_estimate_for(const std::string& backend,

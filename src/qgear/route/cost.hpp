@@ -86,7 +86,9 @@ TimeEstimate time_estimate_for(const std::string& backend,
                                const Calibration& calib,
                                const sim::BackendOptions& base = {});
 
-/// As above, planning `qc` at `base.fusion` first.
+/// As above, planning `qc` at `base.fusion` first for the backends whose
+/// price reads the plan's blocks (fused and dist); reference, dd, mps and
+/// unmodelled backends are priced without planning.
 TimeEstimate time_estimate_for(const std::string& backend,
                                const std::string& precision,
                                const qiskit::QuantumCircuit& qc,

@@ -89,16 +89,13 @@ Placement plan(const qiskit::QuantumCircuit& qc, const Budget& budget,
     }
   }
 
-  // Candidate space. ISA tiers up to best_supported (or just the active
-  // one); fused widths from opts; fp32 only where the engine supports it.
+  // Candidate space. ISA tiers up to best_supported (the model ranks
+  // lower tiers by their measured speed factors); fused widths from opts;
+  // fp32 only where the engine supports it.
   std::vector<sim::Isa> isas;
-  if (opts.sweep_isa) {
-    const sim::Isa best = sim::best_supported_isa();
-    for (sim::Isa isa : {sim::Isa::scalar, sim::Isa::sse2, sim::Isa::avx2})
-      if (static_cast<int>(isa) <= static_cast<int>(best)) isas.push_back(isa);
-  } else {
-    isas.push_back(sim::active_isa());
-  }
+  const sim::Isa best = sim::best_supported_isa();
+  for (sim::Isa isa : {sim::Isa::scalar, sim::Isa::sse2, sim::Isa::avx2})
+    if (static_cast<int>(isa) <= static_cast<int>(best)) isas.push_back(isa);
 
   std::vector<CandidateConfig> configs;
   for (const char* prec : {"fp32", "fp64"}) {

@@ -1,13 +1,14 @@
 // route::plan — the autotuner's decision API.
 //
 // Inspects a circuit (transpiled internally), enumerates the candidate
-// space backend × precision × ISA × fusion width, prices every candidate
-// with the cost model (route/cost.hpp), filters by the caller's Budget
-// (memory bytes, optional wall-time cap, accuracy bound that forbids
-// fp32 when the propagated error exceeds it), and returns the cheapest
-// feasible candidate plus the full ranked alternatives list and a
-// human-readable rationale. Deterministic: same circuit + budget +
-// options -> same Placement (ties break on the candidate ordering).
+// space backend × precision × ISA (every tier up to the best this host
+// supports) × fusion width, prices every candidate with the cost model
+// (route/cost.hpp), filters by the caller's Budget (memory bytes,
+// optional wall-time cap, accuracy bound that forbids fp32 when the
+// propagated error exceeds it), and returns the cheapest feasible
+// candidate plus the full ranked alternatives list and a human-readable
+// rationale. Deterministic: same circuit + budget + options -> same
+// Placement (ties break on the candidate ordering).
 //
 // Serve uses it as the placement policy for `backend=auto` jobs; the CLI
 // exposes it as `qgear_cli plan` / `run --auto`. Decisions are counted
@@ -67,9 +68,6 @@ struct RouteOptions {
   Calibration calibration = Calibration::host_default();
   sim::BackendOptions base;          ///< engine knobs candidates inherit
   std::vector<unsigned> fusion_widths = {3, 5, 7};
-  /// Enumerate ISA tiers up to best_supported (the model ranks lower
-  /// tiers by their measured speed factors). Off = active ISA only.
-  bool sweep_isa = true;
   /// Consider the distributed backend (off by default: single-process
   /// dist replay never beats local fused; serve shards opt in).
   bool include_dist = false;

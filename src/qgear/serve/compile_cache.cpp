@@ -42,7 +42,6 @@ obs::Gauge& entries_gauge() {
 std::uint64_t compiled_footprint_bytes(const CompiledCircuit& cc) {
   std::uint64_t bytes = sizeof(CompiledCircuit);
   bytes += cc.transpiled.size() * sizeof(qiskit::Instruction);
-  bytes += cc.tensor.byte_size();
   for (const sim::FusedBlock& b : cc.plan.blocks) {
     bytes += (b.matrix.size() + b.diag.size() + b.phases.size()) *
              sizeof(std::complex<double>);
@@ -58,7 +57,6 @@ std::shared_ptr<const CompiledCircuit> compile_circuit(
     const qiskit::QuantumCircuit& qc, const sim::FusionOptions& fusion) {
   auto cc = std::make_shared<CompiledCircuit>();
   cc->transpiled = qiskit::transpile(qc);
-  cc->tensor = core::encode_circuits({&cc->transpiled, 1});
   cc->plan = sim::plan_fusion(cc->transpiled, fusion);
   cc->num_qubits = qc.num_qubits();
   cc->byte_size = compiled_footprint_bytes(*cc);

@@ -1,9 +1,9 @@
 // Compilation cache: circuit fingerprint -> compiled plan, with LRU
 // eviction and single-flight deduplication.
 //
-// Compilation (basis transpile + gate-tensor encoding + fusion planning)
-// is the reusable artifact of repeated circuit traffic — it depends only
-// on circuit content, never on the submitting tenant or the state vector.
+// Compilation (basis transpile + fusion planning) is the reusable
+// artifact of repeated circuit traffic — it depends only on circuit
+// content, never on the submitting tenant or the state vector.
 // The cache keys on qiskit::circuit_fingerprint, bounds resident bytes
 // with LRU eviction, and deduplicates concurrent compilations of the same
 // key: the first requester compiles, later requesters block until the
@@ -22,25 +22,23 @@
 #include <condition_variable>
 #include <unordered_map>
 
-#include "qgear/core/tensor.hpp"
 #include "qgear/qiskit/circuit.hpp"
 #include "qgear/sim/fusion.hpp"
 
 namespace qgear::serve {
 
 /// The immutable compile artifact: everything execution needs that does
-/// not depend on the run (basis-transpiled IR, the Q-GEAR gate-tensor
-/// encoding of it, and the fusion plan the engine executes).
+/// not depend on the run (the basis-transpiled circuit, which prices the
+/// job, and the fusion plan the engine executes).
 struct CompiledCircuit {
   qiskit::QuantumCircuit transpiled{1};
-  core::GateTensor tensor{1, 1};
   sim::FusionPlan plan;
   unsigned num_qubits = 1;
   std::uint64_t byte_size = 0;  ///< resident footprint charged to the cache
 };
 
 /// Estimated resident bytes of a compiled circuit (plan matrices +
-/// tensor + instruction stream).
+/// instruction stream).
 std::uint64_t compiled_footprint_bytes(const CompiledCircuit& cc);
 
 /// Compiles `qc` with `fusion` options into a cacheable artifact.

@@ -126,10 +126,13 @@ LoadGenReport run_load(SimService& svc, const LoadGenOptions& opts) {
     JobSpec spec;
     spec.tenant = strfmt("t%u", static_cast<unsigned>(
                                     rng.uniform_u64(opts.tenants)));
+    // Priority mix: 20% interactive, 20% batch, the rest normal.
+    constexpr double kInteractiveShare = 0.2;
+    constexpr double kBatchShare = 0.2;
     const double pri_draw = rng.uniform();
-    if (pri_draw < opts.interactive_fraction) {
+    if (pri_draw < kInteractiveShare) {
       spec.priority = Priority::interactive;
-    } else if (pri_draw < opts.interactive_fraction + opts.batch_fraction) {
+    } else if (pri_draw < kInteractiveShare + kBatchShare) {
       spec.priority = Priority::batch;
     } else {
       spec.priority = Priority::normal;

@@ -4,7 +4,8 @@
 // Open loop means arrivals follow a Poisson process at a configured rate
 // regardless of service backlog — the standard way to expose queueing
 // behaviour (closed-loop generators self-throttle and hide it). Each
-// arrival draws a tenant, a priority class, and a circuit: with
+// arrival draws a tenant, a priority class (20% interactive, 20% batch,
+// the rest normal), and a circuit: with
 // probability `duplicate_ratio` a member of a small hot pool (repeated
 // traffic the compilation cache can win on), otherwise a fresh unique
 // circuit. After the last submission the service is drained and every
@@ -29,8 +30,6 @@ struct LoadGenOptions {
   unsigned qubits = 10;
   std::uint64_t blocks = 120;      ///< CX blocks per random circuit
   double qft_fraction = 0.25;      ///< hot-pool share built as QFT kernels
-  double interactive_fraction = 0.2;
-  double batch_fraction = 0.2;     ///< rest is Priority::normal
   double queue_deadline_s = 0.0;   ///< per-job queue deadline (0 = none)
   double timeout_s = 0.0;          ///< per-job execution budget (0 = none)
   std::uint64_t seed = 1;

@@ -136,6 +136,11 @@ obs::Counter& checkpoint_restores_counter() {
   return c;
 }
 
+// Retry backoff grows by kBackoffGrowth per attempt, scaled by
+// 1 ± kBackoffJitter.
+constexpr double kBackoffGrowth = 2.0;
+constexpr double kBackoffJitter = 0.2;
+
 // Deterministic jitter in [0, 1): hash of (job id, attempt) — the same
 // retried job always backs off the same amount, which keeps chaos runs
 // reproducible under QGEAR_FAULT_PLAN seeds.
@@ -157,9 +162,6 @@ SimService::SimService(Options opts)
   if (num_workers_ == 0) {
     const unsigned hw = std::thread::hardware_concurrency();
     num_workers_ = hw >= 2 ? hw / 2 : 1;
-  }
-  for (const auto& [tenant, weight] : opts_.tenant_weights) {
-    scheduler_.set_tenant_weight(tenant, weight);
   }
   pool_ = std::make_unique<ThreadPool>(num_workers_, num_workers_);
   for (unsigned i = 0; i < num_workers_; ++i) {
@@ -217,8 +219,12 @@ JobTicket SimService::submit(JobSpec spec) {
   } else {
     QGEAR_CHECK_ARG(sim::Backend::is_registered(state->backend),
                     "serve: unknown backend '" + state->backend + "'");
+    // The dist backend replays its circuit only on sample or expectation,
+    // which a job never calls: its job would complete without running.
+    QGEAR_CHECK_ARG(state->backend != "dist",
+                    "serve: the dist backend cannot run jobs");
     // Resolve precision: an explicit JobSpec ask wins on the statevector
-    // backends; the fused default follows Options::fp64; dd/mps/dist are
+    // backends; the fused default follows Options::fp64; dd and mps are
     // double-precision engines regardless.
     const bool statevector =
         state->backend == "fused" || state->backend == "reference";
@@ -575,10 +581,9 @@ bool SimService::maybe_retry(const std::shared_ptr<JobState>& job,
   retries_counter().add();
 
   // Exponential backoff with deterministic ± jitter.
-  double backoff_ms =
-      opts_.retry.backoff_ms *
-      std::pow(opts_.retry.backoff_multiplier, static_cast<double>(j.attempt));
-  backoff_ms *= 1.0 + opts_.retry.jitter *
+  double backoff_ms = opts_.retry.backoff_ms *
+                      std::pow(kBackoffGrowth, static_cast<double>(j.attempt));
+  backoff_ms *= 1.0 + kBackoffJitter *
                           (2.0 * jitter_unit(j.id, j.attempt + 1) - 1.0);
   backoff_ms = std::max(backoff_ms, 0.0);
   ++j.attempt;

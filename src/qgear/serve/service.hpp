@@ -11,7 +11,9 @@
 //
 // Each distinct circuit is planned once: admission's compile feeds both
 // the price and the worker. Admission compiles run on the submitting
-// threads.
+// threads. Jobs on the other backends are priced without a plan; a dist
+// job is refused at submit, since dist runs nothing until a sample or
+// expectation call, which a job never makes.
 //
 // Execution runs each job single-threaded (inter-job parallelism across
 // the worker pool instead of intra-job sweeps), which is the right trade
@@ -58,12 +60,10 @@ namespace qgear::serve {
 struct RetryPolicy {
   /// Total attempts per job including the first (1 = never retry).
   unsigned max_attempts = 1;
-  /// Base backoff before the second attempt, milliseconds.
+  /// Base backoff before the second attempt, milliseconds. It doubles
+  /// per further attempt, with ±20% deterministic jitter (a hash of the
+  /// job id and attempt).
   double backoff_ms = 10.0;
-  /// Exponential growth per further attempt.
-  double backoff_multiplier = 2.0;
-  /// ± fraction of deterministic jitter (hash of job id and attempt).
-  double jitter = 0.2;
   /// Cap on total retries per tenant (0 = unlimited). Exhausted budget
   /// fails the job instead of retrying (serve.retry_budget_exhausted).
   std::uint64_t tenant_retry_budget = 0;
@@ -77,8 +77,6 @@ class SimService {
     CompilationCache::Options cache;
     sim::FusionOptions fusion;
     bool fp64 = false;  ///< execution precision (default fp32)
-    /// Fair-share weights (absent tenants default to 1.0).
-    std::map<std::string, double> tenant_weights;
     /// Default execution backend for jobs whose JobSpec leaves `backend`
     /// empty. "fused" keeps the cached fused-block fast path; any other
     /// registered name executes through sim::Backend; "auto" routes each
@@ -126,7 +124,8 @@ class SimService {
   /// Admission-controlled submission; never waits for queue space.
   /// A fused job is compiled in this call, through the cache (a
   /// concurrent submitter of the same circuit waits for that one
-  /// compile). Inspect ticket.accepted() / reject_reason().
+  /// compile). Inspect ticket.accepted() / reject_reason(). Throws
+  /// InvalidArgument for an unregistered backend name or for "dist".
   JobTicket submit(JobSpec spec);
 
   /// Stops admission and blocks until every accepted job is terminal.

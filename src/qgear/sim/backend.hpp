@@ -3,8 +3,10 @@
 // One API over genuinely different simulation paradigms: dense
 // statevector (reference, fused), decision diagram (dd), matrix product
 // state (mps), and — when qgear_dist registers it — the distributed
-// statevector (dist). Callers pick an engine per workload instead of
-// being welded to the 2^n statevector wall:
+// statevector (dist). dist replays its accumulated circuit on each
+// sample or expectation call; its apply_circuit alone runs nothing.
+// Callers pick an engine per workload instead of being welded to the 2^n
+// statevector wall:
 //
 //   auto be = sim::Backend::create("dd");     // or Backend::default_name()
 //   be->init_state(50);
@@ -44,7 +46,6 @@ struct BackendOptions {
   DdEngine::Options dd;        ///< decision-diagram node budget
   MpsEngine::Options mps;      ///< truncation cutoff / bond cap
   unsigned dist_ranks = 0;     ///< dist backend: SPMD ranks (0 = auto)
-  unsigned dist_threads_per_rank = 1;  ///< dist backend: rank parallelism
   /// Statevector backends (reference, fused) run single precision when
   /// set: half the memory, roughly half the sweep traffic, ~1e-7
   /// per-gate rounding instead of ~1e-16. dd/mps ignore it (their

@@ -1,7 +1,6 @@
 #include "qgear/sim/fusion.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "qgear/common/error.hpp"
 #include "qgear/obs/metrics.hpp"
@@ -11,6 +10,11 @@
 namespace qgear::sim {
 
 namespace {
+
+// Classification tolerance: a block is diagonal (or a permutation) when
+// every entry off its diagonal (or off its permutation) is at most this
+// large in magnitude.
+constexpr double kDiagTol = 1e-14;
 
 obs::Counter& plans_counter() {
   static obs::Counter& c = obs::Registry::global().counter("sim.fusion_plans");
@@ -85,20 +89,19 @@ CMat compose(const Group& g, std::vector<std::complex<double>>& gate2q) {
   return m;
 }
 
-void flush(Group& g, FusionPlan& plan, double diag_tol,
+void flush(Group& g, FusionPlan& plan,
            std::vector<std::complex<double>>& gate2q) {
   if (g.empty()) return;
   CMat m = compose(g, gate2q);
   FusedBlock block;
   // Classify most-specialized first: diagonal beats permutation (every
   // diagonal unitary is also a phased identity permutation) beats dense.
-  if (m.is_diagonal(diag_tol)) {
-    block.diagonal = true;
+  if (m.is_diagonal(kDiagTol)) {
     block.kernel_class = KernelClass::diagonal;
     const std::uint64_t dim = m.dim();
     block.diag.resize(dim);
     for (std::uint64_t v = 0; v < dim; ++v) block.diag[v] = m.at(v, v);
-  } else if (m.is_permutation(diag_tol, &block.perm, &block.phases)) {
+  } else if (m.is_permutation(kDiagTol, &block.perm, &block.phases)) {
     block.kernel_class = KernelClass::permutation;
   } else {
     block.kernel_class = KernelClass::dense;
@@ -109,21 +112,6 @@ void flush(Group& g, FusionPlan& plan, double diag_tol,
   plan.blocks.push_back(std::move(block));
   g.qubits.clear();
   g.gates.clear();
-}
-
-bool is_negligible_rotation(const qiskit::Instruction& inst,
-                            double threshold) {
-  using qiskit::GateKind;
-  switch (inst.kind) {
-    case GateKind::rx:
-    case GateKind::ry:
-    case GateKind::rz:
-    case GateKind::p:
-    case GateKind::cp:
-      return std::abs(inst.param) < threshold;
-    default:
-      return false;
-  }
 }
 
 }  // namespace
@@ -151,28 +139,24 @@ FusionPlan plan_fusion(const qiskit::QuantumCircuit& qc, FusionOptions opts) {
 
   for (const qiskit::Instruction& inst : qc.instructions()) {
     if (inst.kind == qiskit::GateKind::barrier) {
-      flush(cur, plan, opts.diag_tol, gate2q);
+      flush(cur, plan, gate2q);
       continue;
     }
     if (inst.kind == qiskit::GateKind::measure) {
-      flush(cur, plan, opts.diag_tol, gate2q);
+      flush(cur, plan, gate2q);
       plan.measured.push_back(static_cast<unsigned>(inst.q0));
       continue;
-    }
-    if (opts.angle_threshold > 0 &&
-        is_negligible_rotation(inst, opts.angle_threshold)) {
-      continue;  // approximated away
     }
     ++plan.input_gates;
     // Greedy: a gate joins the open block unless the union of their
     // qubits outgrows max_width; a gate wider than max_width still gets a
     // block of its own.
     if (!cur.empty() && cur.width_with(inst) > opts.max_width) {
-      flush(cur, plan, opts.diag_tol, gate2q);
+      flush(cur, plan, gate2q);
     }
     cur.add(inst);
   }
-  flush(cur, plan, opts.diag_tol, gate2q);
+  flush(cur, plan, gate2q);
   if (fuse_span.active()) {
     fuse_span.arg("input_gates", std::uint64_t{plan.input_gates});
     fuse_span.arg("blocks", std::uint64_t{plan.blocks.size()});

@@ -4,7 +4,9 @@
 // Adjacent gates are greedily merged into unitaries over at most
 // `max_width` qubits; each fused block then costs a single amplitude
 // sweep instead of one sweep per gate. Barriers flush the current block;
-// measurements are collected for sampling.
+// measurements are collected for sampling. Every unitary gate is kept:
+// the paper's negligible-angle approximation (App. D.2) is applied where
+// the circuit is built (circuits::QftOptions::angle_threshold), not here.
 //
 // Planning runs in two steps per block. Grouping decides the block's
 // qubits and gates. Composing then builds its matrix at that final width,
@@ -40,7 +42,6 @@ const char* kernel_class_name(KernelClass kc);
 struct FusedBlock {
   std::vector<unsigned> qubits;                 ///< ascending global ids
   std::vector<std::complex<double>> matrix;     ///< row-major 2^m x 2^m
-  bool diagonal = false;                        ///< kernel_class == diagonal
   KernelClass kernel_class = KernelClass::dense;
   /// Filled for diagonal blocks: the 2^m diagonal values.
   std::vector<std::complex<double>> diag;
@@ -65,11 +66,7 @@ struct FusionPlan {
 };
 
 struct FusionOptions {
-  unsigned max_width = 5;      ///< the paper's gate-fusion parameter
-  double diag_tol = 1e-14;     ///< off-diagonal tolerance for diag blocks
-  /// Rotations with |angle| below this are dropped entirely (the paper's
-  /// "approximations for negligible rotation angles", Appendix D.2).
-  double angle_threshold = 0.0;
+  unsigned max_width = 5;  ///< the paper's gate-fusion parameter
 };
 
 /// Plans fusion for `qc`. Every unitary instruction lands in exactly one

@@ -27,8 +27,6 @@ struct KernelTable {
   void (*apply_1q_diagonal)(std::complex<T>*, unsigned, unsigned,
                             std::complex<T>, std::complex<T>, ThreadPool*);
   void (*apply_x)(std::complex<T>*, unsigned, unsigned, ThreadPool*);
-  void (*apply_controlled_1q)(std::complex<T>*, unsigned, unsigned, unsigned,
-                              const qiskit::Mat2&, ThreadPool*);
   void (*apply_cx)(std::complex<T>*, unsigned, unsigned, unsigned,
                    ThreadPool*);
   void (*apply_phase_mask)(std::complex<T>*, unsigned, std::uint64_t,

@@ -42,18 +42,6 @@ void apply_x(std::complex<T>* amps, unsigned num_qubits, unsigned q,
   active_kernels<T>().apply_x(amps, num_qubits, q, pool);
 }
 
-/// Applies a controlled-U (2x2 target matrix) with control c, target t.
-template <typename T>
-void apply_controlled_1q(std::complex<T>* amps, unsigned num_qubits,
-                         unsigned control, unsigned target,
-                         const qiskit::Mat2& gate,
-                         ThreadPool* pool = nullptr) {
-  QGEAR_EXPECTS(control < num_qubits && target < num_qubits &&
-                control != target);
-  active_kernels<T>().apply_controlled_1q(amps, num_qubits, control, target,
-                                          gate, pool);
-}
-
 /// CX: swaps target amplitudes on the control=1 half (permutation only).
 template <typename T>
 void apply_cx(std::complex<T>* amps, unsigned num_qubits, unsigned control,
@@ -159,21 +147,6 @@ void apply_multi_diag(std::complex<T>* amps, unsigned num_qubits,
   detail::validate_block_qubits<T>(num_qubits, qubits);
   QGEAR_EXPECTS(diag.size() == pow2(qubits.size()));
   active_kernels<T>().apply_multi_diag(amps, num_qubits, qubits, diag, pool);
-}
-
-/// Compat form of apply_multi_diag taking the full 2^m x 2^m matrix and
-/// extracting its diagonal.
-template <typename T>
-void apply_multi_diagonal(std::complex<T>* amps, unsigned num_qubits,
-                          const std::vector<unsigned>& qubits,
-                          const std::vector<std::complex<double>>& matrix,
-                          ThreadPool* pool = nullptr) {
-  const unsigned m = static_cast<unsigned>(qubits.size());
-  const std::uint64_t dim = pow2(m);
-  QGEAR_EXPECTS(matrix.size() == dim * dim);
-  std::vector<std::complex<double>> diag(dim);
-  for (std::uint64_t v = 0; v < dim; ++v) diag[v] = matrix[v * dim + v];
-  apply_multi_diag(amps, num_qubits, qubits, diag, pool);
 }
 
 /// Permutation fused-block kernel: per amplitude group,

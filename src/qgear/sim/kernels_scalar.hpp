@@ -61,30 +61,6 @@ void apply_x(std::complex<T>* amps, unsigned num_qubits, unsigned q,
   });
 }
 
-/// Controlled-U (2x2 target matrix) with control c, target t.
-template <typename T>
-void apply_controlled_1q(std::complex<T>* amps, unsigned num_qubits,
-                         unsigned control, unsigned target,
-                         const qiskit::Mat2& gate, ThreadPool* pool) {
-  const auto m = to_precision<T>(gate);
-  const unsigned lo = std::min(control, target);
-  const unsigned hi = std::max(control, target);
-  const std::uint64_t groups = pow2(num_qubits - 2);
-  const std::uint64_t cbit = pow2(control);
-  const std::uint64_t tbit = pow2(target);
-  detail::for_range(pool, groups, [=](std::uint64_t begin, std::uint64_t end) {
-    for (std::uint64_t k = begin; k < end; ++k) {
-      // Index with control=1, target=0; partner has target=1.
-      const std::uint64_t base = insert_two_zero_bits(k, lo, hi) | cbit;
-      const std::uint64_t i1 = base | tbit;
-      const std::complex<T> a0 = amps[base];
-      const std::complex<T> a1 = amps[i1];
-      amps[base] = m[0] * a0 + m[1] * a1;
-      amps[i1] = m[2] * a0 + m[3] * a1;
-    }
-  });
-}
-
 /// CX: amplitude permutation on the control=1 half.
 template <typename T>
 void apply_cx(std::complex<T>* amps, unsigned num_qubits, unsigned control,
@@ -284,11 +260,10 @@ void apply_multi_permutation(std::complex<T>* amps, unsigned num_qubits,
 template <typename T>
 constexpr KernelTable<T> make_scalar_table() {
   return {apply_1q<T>,           apply_1q_diagonal<T>,
-          apply_x<T>,            apply_controlled_1q<T>,
-          apply_cx<T>,           apply_phase_mask<T>,
-          apply_swap<T>,         apply_2q_dense<T>,
-          apply_multi_dense<T>,  apply_multi_diag<T>,
-          apply_multi_permutation<T>};
+          apply_x<T>,            apply_cx<T>,
+          apply_phase_mask<T>,   apply_swap<T>,
+          apply_2q_dense<T>,     apply_multi_dense<T>,
+          apply_multi_diag<T>,   apply_multi_permutation<T>};
 }
 
 }  // namespace qgear::sim::scalar

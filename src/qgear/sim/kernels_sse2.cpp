@@ -103,22 +103,20 @@ namespace detail {
 const KernelTable<double>& sse2_table_d() {
   static const KernelTable<double> t = {
       KD::apply_1q,           KD::apply_1q_diagonal,
-      KD::apply_x,            KD::apply_controlled_1q,
-      KD::apply_cx,           KD::apply_phase_mask,
-      KD::apply_swap,         KD::apply_2q_dense,
-      KD::apply_multi_dense,  KD::apply_multi_diag,
-      scalar::apply_multi_permutation<double>};
+      KD::apply_x,            KD::apply_cx,
+      KD::apply_phase_mask,   KD::apply_swap,
+      KD::apply_2q_dense,     KD::apply_multi_dense,
+      KD::apply_multi_diag,   scalar::apply_multi_permutation<double>};
   return t;
 }
 
 const KernelTable<float>& sse2_table_f() {
   static const KernelTable<float> t = {
       KF::apply_1q,           KF::apply_1q_diagonal,
-      KF::apply_x,            KF::apply_controlled_1q,
-      KF::apply_cx,           KF::apply_phase_mask,
-      KF::apply_swap,         KF::apply_2q_dense,
-      KF::apply_multi_dense,  KF::apply_multi_diag,
-      scalar::apply_multi_permutation<float>};
+      KF::apply_x,            KF::apply_cx,
+      KF::apply_phase_mask,   KF::apply_swap,
+      KF::apply_2q_dense,     KF::apply_multi_dense,
+      KF::apply_multi_diag,   scalar::apply_multi_permutation<float>};
   return t;
 }
 

@@ -53,7 +53,7 @@ TEST(FusedEngine, ThreadPoolMatchesSerial) {
 }
 
 TEST(FusedEngine, DiagonalFastPathCorrect) {
-  // Pure-diagonal circuit exercises apply_multi_diagonal.
+  // Pure-diagonal circuit exercises apply_multi_diag.
   qiskit::QuantumCircuit qc(4);
   qc.h(0).h(1).h(2).h(3);
   qc.barrier();  // separate the diagonal block
@@ -91,24 +91,6 @@ TEST(FusedEngine, ApplyPlanReuse) {
   eng.apply_plan(plan, s2);
   EXPECT_LT(max_amp_diff(s1, s2), 1e-15);
   EXPECT_NEAR(s1.norm(), 1.0, 1e-10);
-}
-
-TEST(FusedEngine, AngleApproximationBoundsError) {
-  // Dropping tiny rotations must leave fidelity ~1 (Appendix D.2).
-  qiskit::QuantumCircuit qc(4);
-  Rng rng(4);
-  for (int i = 0; i < 50; ++i) {
-    qc.ry(rng.uniform(0, 2 * M_PI), static_cast<int>(rng.uniform_u64(4)));
-    qc.cp(1e-7 * rng.uniform(), static_cast<int>(rng.uniform_u64(2)),
-          2 + static_cast<int>(rng.uniform_u64(2)));
-  }
-  FusedEngine<double> exact;
-  FusedEngine<double> approx(
-      {.fusion = {.max_width = 5, .angle_threshold = 1e-5}});
-  const auto se = exact.run(qc);
-  const auto sa = approx.run(qc);
-  EXPECT_GT(se.fidelity(sa), 1.0 - 1e-8);
-  EXPECT_LT(approx.stats().gates, exact.stats().gates);
 }
 
 }  // namespace

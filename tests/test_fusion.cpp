@@ -134,7 +134,7 @@ TEST(Fusion, DiagonalRunDetected) {
   qc.rz(0.1, 0).rz(0.2, 1).cp(0.3, 0, 2).p(0.4, 2);
   const FusionPlan plan = plan_fusion(qc, {.max_width = 3});
   ASSERT_EQ(plan.blocks.size(), 1u);
-  EXPECT_TRUE(plan.blocks[0].diagonal);
+  EXPECT_EQ(plan.blocks[0].kernel_class, KernelClass::diagonal);
 }
 
 TEST(Fusion, NonDiagonalBlockFlagged) {
@@ -142,7 +142,7 @@ TEST(Fusion, NonDiagonalBlockFlagged) {
   qc.rz(0.1, 0).h(0);
   const FusionPlan plan = plan_fusion(qc, {.max_width = 2});
   ASSERT_EQ(plan.blocks.size(), 1u);
-  EXPECT_FALSE(plan.blocks[0].diagonal);
+  EXPECT_NE(plan.blocks[0].kernel_class, KernelClass::diagonal);
 }
 
 TEST(Fusion, BarrierFlushes) {
@@ -160,16 +160,6 @@ TEST(Fusion, MeasureFlushesAndRecords) {
   const FusionPlan plan = plan_fusion(qc, {.max_width = 2});
   EXPECT_EQ(plan.blocks.size(), 2u);
   EXPECT_EQ(plan.measured, std::vector<unsigned>{1});
-}
-
-TEST(Fusion, AngleThresholdDropsTinyRotations) {
-  qiskit::QuantumCircuit qc(1);
-  qc.rz(1e-9, 0).ry(0.5, 0);
-  const FusionPlan keep = plan_fusion(qc, {.max_width = 2});
-  EXPECT_EQ(keep.input_gates, 2u);
-  const FusionPlan drop =
-      plan_fusion(qc, {.max_width = 2, .angle_threshold = 1e-6});
-  EXPECT_EQ(drop.input_gates, 1u);
 }
 
 TEST(Fusion, InvalidWidthRejected) {

@@ -138,25 +138,30 @@ TEST(Kernels, DiagonalKernelMatchesGeneral) {
   // Build a diagonal 3-qubit block (phases) and compare both kernels.
   const std::vector<unsigned> qubits = {0, 2, 3};
   CMat diag(8);
+  std::vector<std::complex<double>> values(8);
   Rng rng(5);
   for (std::uint64_t i = 0; i < 8; ++i) {
-    diag.at(i, i) = std::polar(1.0, rng.uniform(0, 6.28));
+    values[i] = std::polar(1.0, rng.uniform(0, 6.28));
+    diag.at(i, i) = values[i];
   }
   auto a = random_state(5, 21);
   auto b = a;
   apply_multi(a.data(), 5, qubits, diag.data());
-  apply_multi_diagonal(b.data(), 5, qubits, diag.data());
+  apply_multi_diag(b.data(), 5, qubits, values);
   EXPECT_LT(max_diff(a, b), 1e-13);
 }
 
 TEST(Kernels, ControlledPhaseMatchesControlled1q) {
+  // Oracle: the dense 4x4 CP matrix diag(1, 1, 1, e^{i lambda}) on
+  // qubits {1, 3} through the general block kernel.
   auto a = random_state(4, 3);
   auto b = a;
   const double lambda = 0.77;
   apply_controlled_phase(a.data(), 4, 1u, 3u,
                          std::complex<double>(std::polar(1.0, lambda)));
-  apply_controlled_1q(b.data(), 4, 1u, 3u,
-                      qiskit::gate_matrix_1q(qiskit::GateKind::p, lambda));
+  CMat cp = CMat::identity(4);
+  cp.at(3, 3) = std::polar(1.0, lambda);
+  apply_multi(b.data(), 4, {1u, 3u}, cp.data());
   EXPECT_LT(max_diff(a, b), 1e-13);
 }
 

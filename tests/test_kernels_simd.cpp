@@ -139,12 +139,6 @@ void check_all_kernels(unsigned n) {
   for (unsigned c = 0; c < n; ++c) {
     for (unsigned t2 = 0; t2 < n; ++t2) {
       if (c == t2) continue;
-      const auto m = random_mat2(200 + c * n + t2);
-      expect_all_isas_match<T>(n, 11 + c * n + t2,
-                               [&](const KernelTable<T>& t,
-                                   std::complex<T>* amps, ThreadPool* pool) {
-        t.apply_controlled_1q(amps, n, c, t2, m, pool);
-      });
       expect_all_isas_match<T>(n, 12 + c * n + t2,
                                [&](const KernelTable<T>& t,
                                    std::complex<T>* amps, ThreadPool* pool) {
@@ -181,8 +175,8 @@ void check_all_kernels(unsigned n) {
 }
 
 /// Pooled sweeps at n = 15, where every range (per amplitude, pair,
-/// group or vector) has at least 4,096 items and so splits: the 1q and
-/// controlled kernels at qubits {0, 1, 2, 14}, and apply_2q_dense with
+/// group or vector) has at least 4,096 items and so splits: the 1q
+/// kernels at qubits {0, 1, 2, 14}, and apply_2q_dense with
 /// lower qubit 0, 1 or 2, inside one vector or just above it on every ISA.
 template <typename T>
 void check_pooled_kernels() {
@@ -204,16 +198,6 @@ void check_pooled_kernels() {
                               std::complex<T>(T(-0.28), T(0.96)), pool);
         },
         kSplit);
-    for (unsigned c : positions) {
-      if (c == q) continue;
-      expect_all_isas_match<T>(
-          n, 703 + c * n + q,
-          [&](const KernelTable<T>& t, std::complex<T>* amps,
-              ThreadPool* pool) {
-            t.apply_controlled_1q(amps, n, c, q, m, pool);
-          },
-          kSplit);
-    }
   }
   for (unsigned lo : {0u, 1u, 2u}) {
     for (unsigned hi : {1u, 2u, 8u, 14u}) {

@@ -8,8 +8,12 @@
 #include <string>
 
 #include "qgear/common/error.hpp"
+#include "qgear/dist/dist_backend.hpp"
+#include "qgear/obs/metrics.hpp"
 #include "qgear/qiskit/circuit.hpp"
+#include "qgear/route/cost.hpp"
 #include "qgear/serve/job.hpp"
+#include "qgear/sim/fusion.hpp"
 
 namespace qgear::serve {
 namespace {
@@ -97,6 +101,45 @@ TEST(ServeBackend, UnknownBackendThrowsAtSubmit) {
   opts.workers = 1;
   SimService svc(opts);
   EXPECT_THROW(svc.submit(spec_for(ghz(4), "warp-drive")), InvalidArgument);
+}
+
+TEST(ServeBackend, NonFusedJobsArePricedWithoutPlanning) {
+  // Only the fused and dist prices read a fusion plan's blocks, so
+  // admitting a reference, dd or mps job plans nothing, and its price is
+  // the one the plan-taking estimate gives.
+  obs::Counter& plans = obs::Registry::global().counter("sim.fusion_plans");
+  SimService::Options opts;
+  opts.workers = 1;
+  SimService svc(opts);
+  qiskit::QuantumCircuit qc = ghz(10);
+  for (unsigned q = 0; q < 10; ++q) qc.ry(0.1 * (q + 1), q);
+  for (const char* backend : {"reference", "dd", "mps"}) {
+    const std::uint64_t before = plans.value();
+    JobTicket ticket = svc.submit(spec_for(qc, backend));
+    ASSERT_TRUE(ticket.accepted()) << backend;
+    const JobResult result = ticket.result().get();
+    EXPECT_EQ(result.status, JobStatus::completed) << backend;
+    EXPECT_EQ(plans.value(), before) << backend;
+
+    sim::BackendOptions bo;
+    bo.fusion = opts.fusion;
+    const double planned =
+        route::time_estimate_for(backend, "fp64", qc,
+                                 sim::plan_fusion(qc, opts.fusion),
+                                 svc.options().calibration, bo)
+            .seconds;
+    EXPECT_EQ(result.est_execute_s, planned) << backend;
+  }
+}
+
+TEST(ServeBackend, DistJobThrowsAtSubmit) {
+  // dist runs its circuit only on sample or expectation, which a job
+  // never calls; admitting it would report a job that never ran.
+  dist::register_dist_backend();
+  SimService::Options opts;
+  opts.workers = 1;
+  SimService svc(opts);
+  EXPECT_THROW(svc.submit(spec_for(ghz(10), "dist")), InvalidArgument);
 }
 
 TEST(ServeBackend, RejectCounterNamesMemoryBudget) {
