@@ -110,46 +110,74 @@ void report_isa_sweep() {
       "between.\n");
 }
 
+/// The dim-point DFT divided by sqrt(dim): unitary, so repeated sweeps
+/// keep the state's norm.
+std::vector<std::complex<double>> unitary_dft(std::uint64_t dim) {
+  std::vector<std::complex<double>> dft(dim * dim);
+  for (std::uint64_t r = 0; r < dim; ++r) {
+    for (std::uint64_t c = 0; c < dim; ++c) {
+      dft[r * dim + c] =
+          std::polar(1 / std::sqrt(double(dim)),
+                     2 * M_PI * double(r * c % dim) / double(dim));
+    }
+  }
+  return dft;
+}
+
+/// A random n-qubit state of unit expected norm: a uniform state would
+/// cancel to exact zeros and then to subnormals, which time the FPU's slow
+/// path instead.
+template <typename T>
+std::vector<std::complex<T>> random_amps(unsigned n) {
+  Rng rng(3);
+  std::vector<std::complex<T>> amps(pow2(n));
+  const double scale = std::sqrt(double(pow2(n + 1)));
+  for (auto& a : amps) {
+    a = {static_cast<T>(rng.normal() / scale),
+         static_cast<T>(rng.normal() / scale)};
+  }
+  return amps;
+}
+
+/// Seconds of the fastest of `reps` timed calls of `run`, after one
+/// untimed call that warms the caches.
+template <typename F>
+double fastest_of(int reps, F&& run) {
+  run();
+  double best = 0;
+  for (int r = 0; r < reps; ++r) {
+    WallTimer timer;
+    run();
+    const double t = timer.seconds();
+    best = r == 0 ? t : std::min(best, t);
+  }
+  return best;
+}
+
+constexpr int kRateReps = 5;
+
 /// One compiled ISA's apply_2q_dense rows: ns per amplitude for each
 /// (q_lo, q_hi) pair, single thread, straight through the ISA's table (no
-/// pool, so no sim.* or threadpool.* counter moves).
+/// pool, so no sim.* or threadpool.* counter moves). Returns the
+/// reference row's ns per complex multiply-add (4 per amplitude).
 template <typename T>
-void kernel_rate_rows(const char* precision, sim::Isa isa,
-                      bench::Table& table) {
+double kernel_rate_rows(const char* precision, sim::Isa isa,
+                        bench::Table& table) {
   constexpr unsigned kQubits = 20;
-  constexpr int kReps = 5;
   // (0, 1) keeps a whole group in one fp32 AVX2 vector; (10, 11) runs
   // the across-vector branch on every ISA and is the reference row.
   const std::pair<unsigned, unsigned> pairs[] = {
       {0, 1}, {0, 11}, {1, 11}, {2, 11}, {10, 11}};
-  // Unitary (the 4-point DFT / 2), so repeated sweeps keep the norm.
-  std::vector<std::complex<double>> dft(16);
-  for (int r = 0; r < 4; ++r) {
-    for (int c = 0; c < 4; ++c) {
-      dft[4 * r + c] = std::polar(0.5, M_PI / 2 * ((r * c) % 4));
-    }
-  }
+  const auto dft = unitary_dft(4);
   const auto& kernels = sim::kernel_table_for<T>(isa);
-  // Random amplitudes: a uniform state would cancel to exact zeros and
-  // then to subnormals, which time the FPU's slow path instead.
-  Rng rng(3);
-  std::vector<std::complex<T>> amps(pow2(kQubits));
-  for (auto& a : amps) {
-    a = {static_cast<T>(rng.normal() / 1448.0),
-         static_cast<T>(rng.normal() / 1448.0)};
-  }
-  std::vector<double> ns;  // fastest of kReps sweeps, per amplitude
+  auto amps = random_amps<T>(kQubits);
+  std::vector<double> ns;  // fastest sweep, per amplitude
   for (const auto& [lo, hi] : pairs) {
-    kernels.apply_2q_dense(amps.data(), kQubits, lo, hi, dft, nullptr);
     bench::StageTimer stage(strfmt("kernel_rate.%s.%s.q%u_%u", precision,
                                    sim::isa_name(isa), lo, hi));
-    double best = 0;
-    for (int r = 0; r < kReps; ++r) {
-      WallTimer timer;
+    const double best = fastest_of(kRateReps, [&] {
       kernels.apply_2q_dense(amps.data(), kQubits, lo, hi, dft, nullptr);
-      const double t = timer.seconds();
-      best = r == 0 ? t : std::min(best, t);
-    }
+    });
     ns.push_back(best * 1e9 / static_cast<double>(amps.size()));
   }
   for (std::size_t i = 0; i < ns.size(); ++i) {
@@ -157,30 +185,87 @@ void kernel_rate_rows(const char* precision, sim::Isa isa,
                std::to_string(pairs[i].first), std::to_string(pairs[i].second),
                strfmt("%.2f", ns[i]), strfmt("%.2fx", ns[i] / ns.back())});
   }
+  return ns.back() / 4;
+}
+
+/// One compiled ISA's apply_multi_dense rows for blocks of m = 3, 4 and
+/// 5 qubits: ns per amplitude and per complex multiply-add (2^m per
+/// amplitude), on 12- and 20-qubit states, with the block's lowest qubit
+/// at 0 (lo, inside one vector on every SIMD ISA) or at 2 (hi, above
+/// one). Each timing is the fastest batch of sweeps that update 2^20
+/// amplitudes, single thread, through the ISA's table. `ref_ns` is the
+/// ISA's apply_2q_dense reference row, per multiply-add.
+template <typename T>
+void dense_rate_rows(const char* precision, sim::Isa isa, double ref_ns,
+                     bench::Table& table) {
+  const auto& kernels = sim::kernel_table_for<T>(isa);
+  for (unsigned m = 3; m <= 5; ++m) {
+    const std::uint64_t dim = pow2(m);
+    const auto dft = unitary_dft(dim);
+    const std::pair<const char*, unsigned> placements[] = {{"lo", 0},
+                                                           {"hi", 2}};
+    for (const auto& [place, lowest] : placements) {
+      std::vector<unsigned> qubits(m);
+      for (unsigned j = 0; j < m; ++j) qubits[j] = lowest + j;
+      bench::StageTimer stage(strfmt("kernel_rate.%s.%s.m%u_%s", precision,
+                                     sim::isa_name(isa), m, place));
+      for (unsigned n : {12u, 20u}) {
+        auto amps = random_amps<T>(n);
+        const std::uint64_t sweeps = pow2(20 - n);
+        const double best = fastest_of(kRateReps, [&] {
+          for (std::uint64_t i = 0; i < sweeps; ++i) {
+            kernels.apply_multi_dense(amps.data(), n, qubits, dft, nullptr);
+          }
+        });
+        const double ns_amp = best * 1e9 / double(sweeps * amps.size());
+        const double ns_cmac = ns_amp / double(dim);
+        table.row({precision, sim::isa_name(isa), std::to_string(m), place,
+                   std::to_string(n), strfmt("%.2f", ns_amp),
+                   strfmt("%.3f", ns_cmac),
+                   strfmt("%.2fx", ns_cmac / ref_ns)});
+      }
+    }
+  }
 }
 
 void report_kernel_rate() {
   bench::subheading("apply_2q_dense rate by qubit position (20 qubits)");
   bench::Table table({"precision", "isa", "q_lo", "q_hi", "ns/amp",
                       "vs q_lo=10"});
+  bench::Table dense({"precision", "isa", "m", "qubits", "n", "ns/amp",
+                      "ns/cmac", "vs 2q q_lo=10"});
   for (int i = 0; i < sim::kNumIsas; ++i) {
     const sim::Isa isa = static_cast<sim::Isa>(i);
-    if (sim::isa_supported(isa)) kernel_rate_rows<float>("fp32", isa, table);
+    if (!sim::isa_supported(isa)) continue;
+    const double ref = kernel_rate_rows<float>("fp32", isa, table);
+    dense_rate_rows<float>("fp32", isa, ref, dense);
   }
   for (int i = 0; i < sim::kNumIsas; ++i) {
     const sim::Isa isa = static_cast<sim::Isa>(i);
-    if (sim::isa_supported(isa)) kernel_rate_rows<double>("fp64", isa, table);
+    if (!sim::isa_supported(isa)) continue;
+    const double ref = kernel_rate_rows<double>("fp64", isa, table);
+    dense_rate_rows<double>("fp64", isa, ref, dense);
   }
   table.print();
   std::printf(
       "expected shape: every row within 2x of its ISA's q_lo=10 row; a "
       "lower qubit inside one vector (fp32 q_lo<2 on avx2, q_lo=0 on sse2 "
       "and fp64 avx2) runs the in-register lane-flip path, not scalar.\n");
+  bench::subheading(
+      "apply_multi_dense rate (m-qubit blocks; lo = qubits 0..m-1, "
+      "hi = 2..m+1)");
+  dense.print();
+  std::printf(
+      "expected shape: ns/cmac falls with m (more multiply-adds per "
+      "amplitude read) and avx2's m=5 rows land within 1.5x of its "
+      "apply_2q_dense q_lo=10 row, per multiply-add; lo and hi within "
+      "~1.3x of each other.\n");
 }
 
 /// Planner cost on serve12_open-shaped circuits: 40 transpiled random
-/// circuits of 12 qubits and 120 blocks, planned at widths 2-5. Planning
-/// moves no sim.* counter but sim.fusion_plans.
+/// circuits of 12 qubits and 120 blocks, planned at widths 2-5, and what
+/// running each width's plans costs. Planning moves no sim.* counter but
+/// sim.fusion_plans.
 void report_planner() {
   constexpr std::uint64_t kCircuits = 40;
   bench::subheading(
@@ -191,29 +276,48 @@ void report_planner() {
         {.num_qubits = 12, .num_blocks = 120, .measure = false,
          .seed = 100 + i})));
   }
-  bench::Table table({"width", "blocks/circuit", "ms/circuit", "us/gate"});
+  bench::Table table({"width", "blocks/circuit", "ms/circuit", "us/gate",
+                      "sweep ms/circuit"});
   for (unsigned w = 2; w <= 5; ++w) {
     std::uint64_t blocks = 0, gates = 0;
+    std::vector<sim::FusionPlan> plans;
     double t = 0;
     {
       bench::StageTimer stage(strfmt("plan_fusion.w%u", w));
       for (const qiskit::QuantumCircuit& qc : batch) {
-        const sim::FusionPlan plan = sim::plan_fusion(qc, {.max_width = w});
-        blocks += plan.blocks.size();
-        gates += plan.input_gates;
+        plans.push_back(sim::plan_fusion(qc, {.max_width = w}));
+        blocks += plans.back().blocks.size();
+        gates += plans.back().input_gates;
       }
       t = stage.seconds();
+    }
+    // Executing the plans: fp32, no pool, the active ISA, every block
+    // straight through its kernel, so no counter moves. Fastest of 3.
+    double sweep = 0;
+    {
+      bench::StageTimer stage(strfmt("plan_sweep.w%u", w));
+      sim::StateVector<float> state(12);
+      sweep = fastest_of(3, [&] {
+        for (const sim::FusionPlan& plan : plans) {
+          for (const sim::FusedBlock& block : plan.blocks) {
+            sim::apply_fused_block(state.data(), 12, block);
+          }
+        }
+      });
     }
     table.row({std::to_string(w),
                strfmt("%.1f", double(blocks) / double(kCircuits)),
                strfmt("%.3f", t * 1e3 / double(kCircuits)),
-               strfmt("%.3f", t * 1e6 / double(gates))});
+               strfmt("%.3f", t * 1e6 / double(gates)),
+               strfmt("%.3f", sweep * 1e3 / double(kCircuits))});
   }
   table.print();
   std::printf(
       "expected shape: cost per gate nearly flat up to width 4, where fixed "
       "per-gate costs dominate, then rising with the 2^(2w)-entry sweep "
-      "each gate makes of its block's matrix.\n");
+      "each gate makes of its block's matrix. The sweep column is what "
+      "the plan costs to run: fewer, wider blocks against 2^w "
+      "multiply-adds per amplitude.\n");
 }
 
 /// State set-up alone: a 24-qubit fused backend on a 4-thread pool. The

@@ -1,7 +1,7 @@
-#include "qgear/sim/fused.hpp"
-
 #include <gtest/gtest.h>
 
+#include "qgear/circuits/qft.hpp"
+#include "qgear/sim/fused.hpp"
 #include "qgear/sim/reference.hpp"
 #include "tests/sim_test_util.hpp"
 
@@ -38,10 +38,18 @@ TEST(FusedEngine, AllFusionWidthsAgree) {
 }
 
 TEST(FusedEngine, Fp32Agreement) {
-  const auto qc = sim_test::random_circuit(5, 120, 13);
-  ReferenceEngine<float> ref;
-  FusedEngine<float> fused;
-  EXPECT_LT(max_amp_diff(ref.run(qc), fused.run(qc)), 1e-4);
+  // serve's two circuit shapes: a random 12-qubit circuit and QFT(12),
+  // whose wide blocks run the dense kernel over many groups.
+  for (const auto& qc : {sim_test::random_circuit(12, 120, 13),
+                         circuits::build_qft(12)}) {
+    ReferenceEngine<float> ref;
+    const auto expected = ref.run(qc);
+    for (unsigned width = 3; width <= 5; ++width) {
+      FusedEngine<float> fused({.fusion = {.max_width = width}});
+      EXPECT_LT(max_amp_diff(expected, fused.run(qc)), 1e-4)
+          << qc.name() << " width=" << width;
+    }
+  }
 }
 
 TEST(FusedEngine, ThreadPoolMatchesSerial) {

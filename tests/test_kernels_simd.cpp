@@ -3,11 +3,13 @@
 // position (to hit the below-vector-width paths), states smaller than one
 // vector, and pooled sweeps large enough that the pool really splits them
 // (chunk edges of per-pair ranges then land mid-vector).
-#include <gtest/gtest.h>
-
+#include <cmath>
 #include <complex>
+#include <gtest/gtest.h>
+#include <utility>
 #include <vector>
 
+#include "qgear/circuits/random_blocks.hpp"
 #include "qgear/common/rng.hpp"
 #include "qgear/common/thread_pool.hpp"
 #include "qgear/obs/metrics.hpp"
@@ -18,7 +20,6 @@
 #include "qgear/sim/kernels.hpp"
 #include "qgear/sim/sampler.hpp"
 #include "qgear/sim/state.hpp"
-#include "qgear/circuits/random_blocks.hpp"
 
 namespace qgear::sim {
 namespace {
@@ -80,6 +81,18 @@ std::vector<std::complex<double>> random_cvec(std::size_t len,
   std::vector<std::complex<double>> v(len);
   for (auto& c : v) c = {rng.normal(), rng.normal()};
   return v;
+}
+
+/// A random 2^m x 2^m matrix scaled by 2^(-m/2), so that its rows have
+/// unit expected norm like a fused block's unitary and the outputs stay as
+/// large as the inputs. Unscaled, a width-5 or -6 row sums 32-64 N(0,1)
+/// products, and fp32 rounding of outputs that large exceeds kTol on the
+/// FMA tables; widths 3 and 4 keep the unscaled random_cvec matrix.
+std::vector<std::complex<double>> random_block_matrix(unsigned m,
+                                                      std::uint64_t seed) {
+  auto mat = random_cvec(pow2(2 * m), seed);
+  for (auto& x : mat) x /= std::sqrt(static_cast<double>(pow2(m)));
+  return mat;
 }
 
 /// Runs `sweep(table, amps, pool)` under every compiled ISA (serial and
@@ -178,6 +191,8 @@ void check_all_kernels(unsigned n) {
 /// group or vector) has at least 4,096 items and so splits: the 1q
 /// kernels at qubits {0, 1, 2, 14}, and apply_2q_dense with
 /// lower qubit 0, 1 or 2, inside one vector or just above it on every ISA.
+/// Dense blocks of m = 3, 4 and 5 qubits run at n = m + 12, which gives
+/// them 4,096 groups; the pool's chunks then end inside a register tile.
 template <typename T>
 void check_pooled_kernels() {
   constexpr unsigned n = 15;
@@ -212,13 +227,28 @@ void check_pooled_kernels() {
           kSplit);
     }
   }
+  const std::vector<unsigned> dense_blocks[] = {
+      {0, 5, 14}, {1, 2, 9, 15}, {2, 4, 7, 11, 16}};
+  for (const std::vector<unsigned>& qubits : dense_blocks) {
+    const unsigned m = static_cast<unsigned>(qubits.size());
+    const unsigned nd = m + 12;
+    const auto mat = random_block_matrix(m, 900 + m);
+    expect_all_isas_match<T>(
+        nd, 901 + m,
+        [&](const KernelTable<T>& t, std::complex<T>* amps,
+            ThreadPool* pool) {
+          t.apply_multi_dense(amps, nd, qubits, mat, pool);
+        },
+        kSplit);
+  }
 }
 
 template <typename T>
 void check_multi_kernels(unsigned n, const std::vector<unsigned>& qubits) {
   const unsigned m = static_cast<unsigned>(qubits.size());
   const std::uint64_t dim = pow2(m);
-  const auto mat = random_cvec(dim * dim, 600 + n);
+  const auto mat = m >= 5 ? random_block_matrix(m, 600 + n)
+                          : random_cvec(dim * dim, 600 + n);
   expect_all_isas_match<T>(n, 601 + n, [&](const KernelTable<T>& t,
                                            std::complex<T>* amps,
                                            ThreadPool* pool) {
@@ -266,16 +296,20 @@ TEST(KernelsSimd, PooledSweepsSplitAndMatchScalar) {
 
 TEST(KernelsSimd, MultiQubitKernelsMatchScalar) {
   // Low, mixed, and high qubit subsets: exercises both the run-vectorized
-  // and the lane-gather paths of the diag kernel, and dense gather widths
-  // 3 and 4.
-  check_multi_kernels<double>(7, {0, 1, 2});
-  check_multi_kernels<double>(7, {0, 3, 6});
-  check_multi_kernels<double>(7, {4, 5, 6});
-  check_multi_kernels<double>(8, {1, 3, 5, 7});
-  check_multi_kernels<float>(7, {0, 1, 2});
-  check_multi_kernels<float>(7, {0, 3, 6});
-  check_multi_kernels<float>(7, {4, 5, 6});
-  check_multi_kernels<float>(8, {1, 3, 5, 7});
+  // and the lane-gather paths of the diag kernel, and dense widths 3 to
+  // 6. Widths 5 and 6 put their lowest qubit at 0 and 1 (inside an fp32
+  // AVX2 vector) and at 2 or above; width 6 takes more than one pass of
+  // the dense register tile on every ISA.
+  const std::vector<std::pair<unsigned, std::vector<unsigned>>> cases = {
+      {7, {0, 1, 2}},          {7, {0, 3, 6}},
+      {7, {4, 5, 6}},          {8, {1, 3, 5, 7}},
+      {8, {0, 2, 3, 5, 7}},    {8, {1, 2, 4, 6, 7}},
+      {9, {3, 4, 5, 7, 8}},    {9, {0, 1, 3, 4, 6, 8}},
+      {9, {1, 2, 3, 5, 7, 8}}, {10, {2, 4, 5, 6, 8, 9}}};
+  for (const auto& [n, qubits] : cases) {
+    check_multi_kernels<double>(n, qubits);
+    check_multi_kernels<float>(n, qubits);
+  }
 }
 
 TEST(KernelsSimd, TinyStatesSmallerThanOneVector) {

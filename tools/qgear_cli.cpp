@@ -20,9 +20,13 @@
 //                         [--dd-max-nodes N] [--dist-ranks R] [--fusion W]
 //                         [--retries N] [--retry-backoff-ms MS]
 //                         [--checkpoint-every N] [--report out.json]
+//                         [--trace-out trace.json]
+//                         [--metrics-out metrics.json]
 //   qgear_cli run         --in circuits.qh5 --auto [--budget-mb M]
 //                         [--max-error E] [--calibration cal.json]
 //                         [--shots S] [--seed S] [--report out.json]
+//                         [--trace-out trace.json]
+//                         [--metrics-out metrics.json]
 //   qgear_cli plan        --in circuits.qh5 [--budget-mb M]
 //                         [--max-error E] [--time-budget-s T]
 //                         [--calibration cal.json] [--report out.json]
@@ -78,11 +82,11 @@
 #include "qgear/circuits/qcrank.hpp"
 #include "qgear/circuits/qft.hpp"
 #include "qgear/circuits/random_blocks.hpp"
+#include "qgear/comm/comm.hpp"
 #include "qgear/common/log.hpp"
 #include "qgear/common/rng.hpp"
 #include "qgear/common/strings.hpp"
 #include "qgear/common/timer.hpp"
-#include "qgear/comm/comm.hpp"
 #include "qgear/core/transformer.hpp"
 #include "qgear/dist/dist_backend.hpp"
 #include "qgear/dist/remap.hpp"
@@ -288,8 +292,9 @@ route::Calibration calibration_from_args(const Args& args) {
 /// With --auto (or --backend auto) each circuit is first routed through
 /// route::plan and executed on the chosen backend x precision x ISA x
 /// fusion width; the decision is recorded in the per-circuit `route`
-/// member.
-int cmd_run_backend(const Args& args) {
+/// member. Each executed circuit's backend stats land in `engine_stats`.
+int cmd_run_backend(const Args& args,
+                    std::vector<sim::EngineStats>& engine_stats) {
   std::string name = args.opt("backend");
   const bool auto_route = args.has("auto") || name == "auto";
   if (name.empty() && !auto_route) name = sim::Backend::default_name();
@@ -331,7 +336,12 @@ int cmd_run_backend(const Args& args) {
   report.set("checkpoint_every", checkpoint_every);
   obs::JsonValue circuits_json{obs::JsonValue::Array{}};
 
+  obs::Span root(obs::Tracer::global(), "cli.run", "cli");
   const core::GateTensor tensor = load_circuits(args.required("in"));
+  if (root.active()) {
+    root.arg("circuits", std::uint64_t{tensor.num_circuits()});
+    root.arg("backend", name);
+  }
   for (std::uint32_t c = 0; c < tensor.num_circuits(); ++c) {
     const auto qc = core::decode_circuit(tensor, c);
 
@@ -487,6 +497,7 @@ int cmd_run_backend(const Args& args) {
     for (double v : z) zj.push_back(v);
     cj.set("z_expectations", std::move(zj));
     const sim::EngineStats& st = backend->stats();
+    engine_stats.push_back(st);
     obs::JsonValue sj{obs::JsonValue::Object{}};
     sj.set("gates", st.gates);
     sj.set("sweeps", st.sweeps);
@@ -506,31 +517,10 @@ int cmd_run_backend(const Args& args) {
   return 0;
 }
 
-int cmd_run(const Args& args) {
-  if (args.has("backend") || args.has("auto")) return cmd_run_backend(args);
-  const std::string trace_out = args.opt("trace-out");
-  const std::string metrics_out = args.opt("metrics-out");
-  obs::Tracer& tracer = obs::Tracer::global();
-  if (!trace_out.empty()) {
-    tracer.clear();
-    tracer.set_enabled(true);
-  }
-  // An interrupted run flushes the same files a clean exit writes
-  // (engine stats folded so far are missing, spans/metrics are not).
-  if (!trace_out.empty() || !metrics_out.empty()) {
-    obs::install_signal_flush();
-    if (!trace_out.empty()) {
-      obs::on_shutdown_flush(
-          [trace_out, &tracer] { tracer.write_trace_json(trace_out); });
-    }
-    if (!metrics_out.empty()) {
-      obs::on_shutdown_flush([metrics_out] {
-        obs::write_text_file(metrics_out,
-                             obs::Registry::global().snapshot().to_json());
-      });
-    }
-  }
-
+/// The transformer execution path of `run`: the paper's target/device
+/// model. Each circuit's engine stats land in `engine_stats`.
+int cmd_run_transformer(const Args& args,
+                        std::vector<sim::EngineStats>& engine_stats) {
   core::TransformerOptions opts;
   opts.target = parse_target(args.str("target", "nvidia"));
   opts.precision = parse_precision(args.str("precision", "fp32"));
@@ -546,7 +536,7 @@ int cmd_run(const Args& args) {
   std::vector<core::Result> results;
   {
     // Scoped so every span (including this root) closes before export.
-    obs::Span root(tracer, "cli.run", "cli");
+    obs::Span root(obs::Tracer::global(), "cli.run", "cli");
     const core::GateTensor tensor = load_circuits(args.required("in"));
     core::Transformer transformer(opts);
     for (std::uint32_t c = 0; c < tensor.num_circuits(); ++c) {
@@ -578,7 +568,41 @@ int cmd_run(const Args& args) {
                     static_cast<unsigned long long>(count));
       }
     }
+    engine_stats.push_back(r.stats);
   }
+  return 0;
+}
+
+/// `qgear_cli run`: the --backend/--auto path or the transformer path,
+/// either one recording --trace-out and --metrics-out.
+int cmd_run(const Args& args) {
+  const std::string trace_out = args.opt("trace-out");
+  const std::string metrics_out = args.opt("metrics-out");
+  obs::Tracer& tracer = obs::Tracer::global();
+  if (!trace_out.empty()) {
+    tracer.clear();
+    tracer.set_enabled(true);
+  }
+  // An interrupted run flushes the same files a clean exit writes
+  // (engine stats folded so far are missing, spans/metrics are not).
+  if (!trace_out.empty() || !metrics_out.empty()) {
+    obs::install_signal_flush();
+    if (!trace_out.empty()) {
+      obs::on_shutdown_flush(
+          [trace_out, &tracer] { tracer.write_trace_json(trace_out); });
+    }
+    if (!metrics_out.empty()) {
+      obs::on_shutdown_flush([metrics_out] {
+        obs::write_text_file(metrics_out,
+                             obs::Registry::global().snapshot().to_json());
+      });
+    }
+  }
+
+  std::vector<sim::EngineStats> engine_stats;
+  const int rc = args.has("backend") || args.has("auto")
+                     ? cmd_run_backend(args, engine_stats)
+                     : cmd_run_transformer(args, engine_stats);
   if (!trace_out.empty()) {
     tracer.set_enabled(false);
     tracer.write_trace_json(trace_out);
@@ -588,8 +612,8 @@ int cmd_run(const Args& args) {
   }
   if (!metrics_out.empty()) {
     auto& reg = obs::Registry::global();
-    for (const auto& r : results) {
-      sim::fold_stats(reg, r.stats, "engine");
+    for (const sim::EngineStats& st : engine_stats) {
+      sim::fold_stats(reg, st, "engine");
     }
     const obs::RegistrySnapshot snap = reg.snapshot();
     obs::write_text_file(metrics_out, snap.to_json());
@@ -597,7 +621,7 @@ int cmd_run(const Args& args) {
                 metrics_out.c_str(), snap.counters.size(),
                 snap.gauges.size(), snap.histograms.size());
   }
-  return 0;
+  return rc;
 }
 
 /// `qgear_cli plan` — routes every circuit in the tensor and prints the
