@@ -107,7 +107,8 @@ void report_isa_sweep() {
   std::printf(
       "expected shape: avx2 >= 2x scalar on dense sweeps (4 fp32 / 2 fp64 "
       "amplitudes per 256-bit op, complex mul via fmaddsub); sse2 lands "
-      "between.\n");
+      "between; avx512 >= 1.3x avx2 in both precisions (8 fp32 / 4 fp64 "
+      "amplitudes per 512-bit op).\n");
 }
 
 /// The dim-point DFT divided by sqrt(dim): unitary, so repeated sweeps
@@ -249,8 +250,10 @@ void report_kernel_rate() {
   table.print();
   std::printf(
       "expected shape: every row within 2x of its ISA's q_lo=10 row; a "
-      "lower qubit inside one vector (fp32 q_lo<2 on avx2, q_lo=0 on sse2 "
-      "and fp64 avx2) runs the in-register lane-flip path, not scalar.\n");
+      "lower qubit inside one vector (fp32 q_lo<2 on avx2, q_lo<3 on "
+      "avx512; fp64 q_lo=0 on avx2, q_lo<2 on avx512; q_lo=0 on sse2) "
+      "runs the in-register lane-flip path, not scalar; each avx512 row "
+      "within 5%% of avx2's or faster.\n");
   bench::subheading(
       "apply_multi_dense rate (m-qubit blocks; lo = qubits 0..m-1, "
       "hi = 2..m+1)");
@@ -259,7 +262,103 @@ void report_kernel_rate() {
       "expected shape: ns/cmac falls with m (more multiply-adds per "
       "amplitude read) and avx2's m=5 rows land within 1.5x of its "
       "apply_2q_dense q_lo=10 row, per multiply-add; lo and hi within "
-      "~1.3x of each other.\n");
+      "~1.3x of each other; each avx512 row within 5%% of avx2's or "
+      "faster.\n");
+}
+
+/// The pair kernels' rate by lowest touched qubit: ns per amplitude of a
+/// 14-qubit state, single thread, straight through each compiled ISA's
+/// table, with the lowest qubit at 0, 1, 2, 3 and 10 (the two-qubit
+/// kernels' other qubit is 12). These are the kernels whose runs below
+/// one vector are scalar, and the ones the avx512 table hands to avx2
+/// where its own body was slower (docs/KERNELS.md). Each cell
+/// is the fastest of kRateReps batches of sweeps that touch 2^20
+/// amplitudes, taken in rounds that visit every ISA in turn, so that a
+/// slow spell of the host falls on all of them alike; its stage records
+/// that fastest batch.
+template <typename T>
+void pair_rate_rows(const char* precision, bench::Table& table) {
+  constexpr unsigned kQubits = 14, kOther = 12;
+  const unsigned lowest[] = {0, 1, 2, 3, 10};
+  std::vector<sim::Isa> isas;
+  for (int i = 0; i < sim::kNumIsas; ++i) {
+    const sim::Isa isa = static_cast<sim::Isa>(i);
+    if (sim::isa_supported(isa)) isas.push_back(isa);
+  }
+  const qiskit::Mat2 h = qiskit::gate_matrix_1q(qiskit::GateKind::h, 0);
+  const std::complex<T> phase(std::polar(1.0, 0.3));
+  using Sweep =
+      std::function<void(const sim::KernelTable<T>&, std::complex<T>*,
+                         unsigned)>;
+  const std::pair<const char*, Sweep> kernels[] = {
+      {"apply_1q",
+       [&](const sim::KernelTable<T>& k, std::complex<T>* a, unsigned q) {
+         k.apply_1q(a, kQubits, q, h, nullptr);
+       }},
+      {"apply_x",
+       [&](const sim::KernelTable<T>& k, std::complex<T>* a, unsigned q) {
+         k.apply_x(a, kQubits, q, nullptr);
+       }},
+      {"apply_cx",
+       [&](const sim::KernelTable<T>& k, std::complex<T>* a, unsigned q) {
+         k.apply_cx(a, kQubits, kOther, q, nullptr);
+       }},
+      {"apply_swap",
+       [&](const sim::KernelTable<T>& k, std::complex<T>* a, unsigned q) {
+         k.apply_swap(a, kQubits, q, kOther, nullptr);
+       }},
+      {"apply_phase_mask",
+       [&](const sim::KernelTable<T>& k, std::complex<T>* a, unsigned q) {
+         k.apply_phase_mask(a, kQubits, pow2(q) | pow2(kOther), phase,
+                            nullptr);
+       }}};
+  auto amps = random_amps<T>(kQubits);
+  const std::uint64_t sweeps = pow2(20 - kQubits);
+  for (const auto& [name, sweep] : kernels) {
+    std::vector<std::vector<std::string>> rows;
+    for (sim::Isa isa : isas) {
+      rows.push_back({precision, name, sim::isa_name(isa)});
+    }
+    for (unsigned q : lowest) {
+      std::vector<double> best(isas.size(), 0);
+      for (int r = 0; r < kRateReps; ++r) {
+        for (std::size_t i = 0; i < isas.size(); ++i) {
+          const auto& k = sim::kernel_table_for<T>(isas[i]);
+          if (r == 0) sweep(k, amps.data(), q);  // warm-up
+          WallTimer timer;
+          for (std::uint64_t s = 0; s < sweeps; ++s) {
+            sweep(k, amps.data(), q);
+          }
+          const double t = timer.seconds();
+          best[i] = r == 0 ? t : std::min(best[i], t);
+        }
+      }
+      for (std::size_t i = 0; i < isas.size(); ++i) {
+        bench::StageLog::global().record(
+            strfmt("pair_rate.%s.%s.%s.q%u", precision,
+                   sim::isa_name(isas[i]), name, q),
+            best[i]);
+        rows[i].push_back(
+            strfmt("%.3f", best[i] * 1e9 / double(sweeps * amps.size())));
+      }
+    }
+    for (const std::vector<std::string>& row : rows) table.row(row);
+  }
+}
+
+void report_pair_rate() {
+  bench::subheading("pair kernels' rate by lowest qubit (14 qubits, ns/amp)");
+  bench::Table table({"precision", "kernel", "isa", "q=0", "q=1", "q=2",
+                      "q=3", "q=10"});
+  pair_rate_rows<float>("fp32", table);
+  pair_rate_rows<double>("fp64", table);
+  table.print();
+  std::printf(
+      "expected shape: a position inside one vector runs scalar (fp32 q<2 "
+      "on avx2, fp64 q=0); avx512 runs avx2's code for apply_1q inside its "
+      "wider vector and for apply_x, apply_cx, apply_swap and "
+      "apply_phase_mask everywhere, so each avx512 row is within 5%% of "
+      "avx2's or faster.\n");
 }
 
 /// Planner cost on serve12_open-shaped circuits: 40 transpiled random
@@ -452,6 +551,7 @@ int main(int argc, char** argv) {
   report_fusion_sweep();
   report_isa_sweep();
   report_kernel_rate();
+  report_pair_rate();
   report_planner();
   report_state_init();
   report_angle_threshold();

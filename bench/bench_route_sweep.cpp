@@ -3,11 +3,11 @@
 //
 // For each routing-suite circuit (qft12 / random12 / ghz40 — the same
 // set `qgear_cli calibrate` measures and CI's route-smoke job runs),
-// route::plan ranks backend x precision x ISA x fusion width, then this
-// bench *measures* every feasible candidate whose estimate is tractable
-// and compares the autotuned choice against the measured optimum. The
-// contract (EXPERIMENTS.md): the choice lands within 10% of the best
-// measured config, and never more than 2x worse.
+// route::plan ranks backend x precision x fusion width on the host's
+// best ISA tier, then this bench *measures* every feasible candidate
+// whose estimate is tractable and compares the autotuned choice against
+// the measured optimum. The contract (EXPERIMENTS.md): the choice lands
+// within 10% of the best measured config, and never more than 2x worse.
 //
 // Calibration comes from Calibration::host_default(), so point
 // QGEAR_ROUTE_CALIBRATION at bench/baselines/route/calibration.json (or
@@ -122,16 +122,17 @@ SweepOutcome sweep_circuit(const std::string& label,
     }
     const double wall = measure_candidate(qc, cand, ropts.base, repeats);
     ++out.swept;
+    const std::string cand_label = config_label(cand.config);
     const bool is_choice =
-        p.feasible && config_label(cand.config) == config_label(p.choice.config);
+        p.feasible && cand_label == config_label(p.choice.config);
     if (is_choice) chosen_s = wall;
     if (best_s == 0.0 || wall < best_s) {
       best_s = wall;
-      best_label = config_label(cand.config);
+      best_label = cand_label;
       best_cand = &cand;
     }
-    table.row({config_label(cand.config), human_seconds(cand.seconds),
-               human_seconds(wall), is_choice ? "<- chosen" : ""});
+    table.row({cand_label, human_seconds(cand.seconds), human_seconds(wall),
+               is_choice ? "<- chosen" : ""});
   }
   table.print();
   if (p.feasible && best_cand != nullptr &&
@@ -159,9 +160,9 @@ int main(int argc, char** argv) {
   bench::init_observability();
   bench::heading("Route sweep: autotuned choice vs exhaustive measurement");
   const route::RouteOptions ropts;  // host_default() calibration
-  std::printf("calibration: %s\n",
-              ropts.calibration.source.empty() ? "built-in defaults"
-                                               : ropts.calibration.source.c_str());
+  const std::string& source = ropts.calibration.source;
+  const char* shown = source.empty() ? "built-in defaults" : source.c_str();
+  std::printf("calibration: %s\n", shown);
 
   auto qft12 = circuits::build_qft(12, {});
   auto random12 = circuits::generate_random_circuit(

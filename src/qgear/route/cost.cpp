@@ -159,6 +159,7 @@ double fp64_error_bound(std::uint64_t unitary_gates) {
 
 double isa_speed_factor(sim::Isa isa) {
   switch (isa) {
+    case sim::Isa::avx512: return 1.0;
     case sim::Isa::avx2: return 1.0;
     case sim::Isa::sse2: return 0.6;
     case sim::Isa::scalar: return 0.3;

@@ -59,7 +59,8 @@ double fp32_error_bound(std::uint64_t unitary_gates);
 double fp64_error_bound(std::uint64_t unitary_gates);
 
 /// ISA tier factor applied to effective sweep bandwidth / flop rate
-/// (avx2 = 1.0; lower tiers from the PR 2 kernel measurements).
+/// (avx512 and avx2 = 1.0; lower tiers from the first SIMD kernels'
+/// measurements). route::plan prices only the best supported tier.
 double isa_speed_factor(sim::Isa isa);
 
 /// Prices one candidate. `fused_sweeps` is the fused candidate's

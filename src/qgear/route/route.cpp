@@ -89,21 +89,16 @@ Placement plan(const qiskit::QuantumCircuit& qc, const Budget& budget,
     }
   }
 
-  // Candidate space. ISA tiers up to best_supported (the model ranks
-  // lower tiers by their measured speed factors); fused widths from opts;
-  // fp32 only where the engine supports it.
-  std::vector<sim::Isa> isas;
-  const sim::Isa best = sim::best_supported_isa();
-  for (sim::Isa isa : {sim::Isa::scalar, sim::Isa::sse2, sim::Isa::avx2})
-    if (static_cast<int>(isa) <= static_cast<int>(best)) isas.push_back(isa);
-
+  // Candidate space. The best supported ISA tier only: every lower tier
+  // is priced strictly slower and no measured rate tells the tiers
+  // apart, so none would ever be chosen. Fused widths from opts; fp32
+  // only where the engine supports it.
+  const sim::Isa isa = sim::best_supported_isa();
   std::vector<CandidateConfig> configs;
   for (const char* prec : {"fp32", "fp64"}) {
-    for (sim::Isa isa : isas) {
-      configs.push_back({"reference", prec, isa, 0});
-      for (unsigned w : opts.fusion_widths)
-        configs.push_back({"fused", prec, isa, w});
-    }
+    configs.push_back({"reference", prec, isa, 0});
+    for (unsigned w : opts.fusion_widths)
+      configs.push_back({"fused", prec, isa, w});
   }
   // Compact engines are ISA- and precision-invariant: one candidate each.
   if (sim::Backend::is_registered("dd"))

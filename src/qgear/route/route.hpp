@@ -1,8 +1,8 @@
 // route::plan — the autotuner's decision API.
 //
 // Inspects a circuit (transpiled internally), enumerates the candidate
-// space backend × precision × ISA (every tier up to the best this host
-// supports) × fusion width, prices every candidate with the cost model
+// space backend × precision × fusion width at the best ISA tier this
+// host supports, prices every candidate with the cost model
 // (route/cost.hpp), filters by the caller's Budget (memory bytes,
 // optional wall-time cap, accuracy bound that forbids fp32 when the
 // propagated error exceeds it), and returns the cheapest feasible

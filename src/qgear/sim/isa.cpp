@@ -17,9 +17,11 @@ namespace {
 Isa detect_best() {
 #ifdef QGEAR_ISA_X86
   __builtin_cpu_init();
-  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
-    return Isa::avx2;
-  }
+  const bool avx2 =
+      __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+  // The AVX-512 table hands some calls to the AVX2 one, so needs both.
+  if (avx2 && __builtin_cpu_supports("avx512f")) return Isa::avx512;
+  if (avx2) return Isa::avx2;
   if (__builtin_cpu_supports("sse2")) return Isa::sse2;
 #endif
   return Isa::scalar;
@@ -42,7 +44,7 @@ Isa initial_isa() {
   Isa requested;
   if (!parse_isa(value, &requested)) {
     log::warn(strfmt("isa: unknown QGEAR_ISA value '%s' "
-                     "(want scalar|sse2|avx2|auto); using auto",
+                     "(want scalar|sse2|avx2|avx512|auto); using auto",
                      value.c_str()));
     return best_supported_isa();
   }
@@ -64,6 +66,8 @@ const char* isa_name(Isa isa) {
       return "sse2";
     case Isa::avx2:
       return "avx2";
+    case Isa::avx512:
+      return "avx512";
   }
   return "unknown";
 }
@@ -75,6 +79,8 @@ bool parse_isa(const std::string& name, Isa* out) {
     *out = Isa::sse2;
   } else if (name == "avx2") {
     *out = Isa::avx2;
+  } else if (name == "avx512") {
+    *out = Isa::avx512;
   } else {
     return false;
   }

@@ -1,9 +1,10 @@
 // Runtime CPU-feature detection and kernel ISA selection.
 //
 // The amplitude-sweep kernels exist in one portable scalar variant plus
-// vectorized variants (SSE2, AVX2+FMA on x86). The active variant is
-// chosen once at startup from cpuid, can be pinned via the QGEAR_ISA
-// environment variable (scalar|sse2|avx2|auto), and can be switched
+// vectorized variants (SSE2, AVX2+FMA, AVX-512F on x86). The active
+// variant is chosen once at startup from cpuid, can be pinned via the
+// QGEAR_ISA environment variable (scalar|sse2|avx2|avx512|auto), and can
+// be switched
 // programmatically for tests. Requests for an ISA the host cannot run are
 // clamped down to the best supported one, so QGEAR_ISA never crashes a
 // binary — it only ever slows it down.
@@ -18,11 +19,12 @@ enum class Isa : int {
   scalar = 0,  ///< portable C++, the correctness baseline
   sse2 = 1,    ///< 128-bit vectors (x86-64 baseline)
   avx2 = 2,    ///< 256-bit vectors + FMA
+  avx512 = 3,  ///< 512-bit vectors (AVX-512F), above the AVX2 table
 };
 
-inline constexpr int kNumIsas = 3;
+inline constexpr int kNumIsas = 4;
 
-/// Short lowercase name ("scalar", "sse2", "avx2").
+/// Short lowercase name ("scalar", "sse2", "avx2", "avx512").
 const char* isa_name(Isa isa);
 
 /// Parses an ISA name (as accepted by QGEAR_ISA, minus "auto").

@@ -1,7 +1,7 @@
 // Per-ISA kernel dispatch table.
 //
-// Each ISA variant (scalar, sse2, avx2) fills one KernelTable<T> per
-// precision with function pointers to its amplitude-sweep kernels. The
+// Each ISA variant (scalar, sse2, avx2, avx512) fills one KernelTable<T>
+// per precision with function pointers to its amplitude-sweep kernels. The
 // public entry points in kernels.hpp fetch the table matching active_isa()
 // on every call (one relaxed atomic load — negligible against a 2^n
 // sweep), so QGEAR_ISA / set_active_isa() take effect immediately.
@@ -52,16 +52,25 @@ struct KernelTable {
 };
 
 namespace detail {
-// Defined by the per-ISA TUs (kernels_sse2.cpp / kernels_avx2.cpp); each
-// returns the scalar table when that instruction set was not available at
-// compile time (e.g. a non-x86 target).
+// The scalar tables, built in kernels_dispatch.cpp with the baseline
+// flags. The ISA TUs fill their scalar slots from these, so that no
+// scalar template is instantiated, as a weak symbol the linker may pick
+// for the whole binary, under their wider flags.
+const KernelTable<float>& scalar_table_f();
+const KernelTable<double>& scalar_table_d();
+// Defined by the per-ISA TUs (kernels_sse2.cpp, kernels_avx2.cpp,
+// kernels_avx512.cpp). When that instruction set was not available at
+// compile time (e.g. a non-x86 target), the sse2 and avx2 tables return
+// the scalar table and the avx512 table the avx2 one.
 const KernelTable<float>& sse2_table_f();
 const KernelTable<double>& sse2_table_d();
 const KernelTable<float>& avx2_table_f();
 const KernelTable<double>& avx2_table_d();
+const KernelTable<float>& avx512_table_f();
+const KernelTable<double>& avx512_table_d();
 }  // namespace detail
 
-/// Table for a specific ISA (the scalar table when that ISA's kernels
+/// Table for a specific ISA (a lower tier's table when that ISA's kernels
 /// were not compiled into this binary, e.g. avx2 on a non-x86 build).
 template <typename T>
 const KernelTable<T>& kernel_table_for(Isa isa);

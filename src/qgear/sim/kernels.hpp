@@ -6,10 +6,11 @@
 // SM/warp execution described in the paper's Appendix A.
 //
 // These entry points validate their arguments, then dispatch through the
-// KernelTable matching active_isa(): AVX2+FMA or SSE2 vectorized sweeps
-// when the host supports them, the portable scalar loops otherwise (see
-// kernels_scalar.hpp / kernels_vec.ipp and docs/KERNELS.md). Set
-// QGEAR_ISA=scalar|sse2|avx2 (or call set_active_isa) to override.
+// KernelTable matching active_isa(): AVX-512F, AVX2+FMA or SSE2
+// vectorized sweeps when the host supports them, the portable scalar
+// loops otherwise (see kernels_scalar.hpp / kernels_vec.ipp and
+// docs/KERNELS.md). Set QGEAR_ISA=scalar|sse2|avx2|avx512 (or call
+// set_active_isa) to override.
 #pragma once
 
 #include "qgear/sim/kernel_table.hpp"

@@ -8,7 +8,6 @@
 // flags; otherwise the #else branch exports the scalar table so dispatch
 // degrades gracefully on non-x86 targets.
 #include "qgear/sim/kernel_table.hpp"
-#include "qgear/sim/kernels_scalar.hpp"
 
 #if defined(__AVX2__) && defined(__FMA__)
 
@@ -110,7 +109,7 @@ const KernelTable<double>& avx2_table_d() {
       KD::apply_x,            KD::apply_cx,
       KD::apply_phase_mask,   KD::apply_swap,
       KD::apply_2q_dense,     KD::apply_multi_dense,
-      KD::apply_multi_diag,   scalar::apply_multi_permutation<double>};
+      KD::apply_multi_diag,   scalar_table_d().apply_multi_permutation};
   return t;
 }
 
@@ -120,7 +119,7 @@ const KernelTable<float>& avx2_table_f() {
       KF::apply_x,            KF::apply_cx,
       KF::apply_phase_mask,   KF::apply_swap,
       KF::apply_2q_dense,     KF::apply_multi_dense,
-      KF::apply_multi_diag,   scalar::apply_multi_permutation<float>};
+      KF::apply_multi_diag,   scalar_table_f().apply_multi_permutation};
   return t;
 }
 
@@ -131,15 +130,9 @@ const KernelTable<float>& avx2_table_f() {
 
 namespace qgear::sim::detail {
 
-const KernelTable<double>& avx2_table_d() {
-  static const KernelTable<double> t = scalar::make_scalar_table<double>();
-  return t;
-}
+const KernelTable<double>& avx2_table_d() { return scalar_table_d(); }
 
-const KernelTable<float>& avx2_table_f() {
-  static const KernelTable<float> t = scalar::make_scalar_table<float>();
-  return t;
-}
+const KernelTable<float>& avx2_table_f() { return scalar_table_f(); }
 
 }  // namespace qgear::sim::detail
 

@@ -5,7 +5,6 @@
 #include <array>
 #include <complex>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "qgear/common/bits.hpp"
@@ -23,14 +22,27 @@ std::array<std::complex<T>, 4> to_precision(const qiskit::Mat2& m) {
 }
 
 namespace detail {
+/// Runs body(ctx, begin, end) over [0, count) on the pool. Out of line
+/// (kernels_dispatch.cpp), so that the std::function it hands the pool
+/// is built with the baseline flags: a SIMD kernel TU that built one
+/// could leave std::function's inline members there as weak symbols.
+void parallel_range(ThreadPool& pool, std::uint64_t count,
+                    void (*body)(const void*, std::uint64_t, std::uint64_t),
+                    const void* ctx);
+
 /// Runs fn(begin, end) over [0, count) — pooled or inline.
-inline void for_range(ThreadPool* pool, std::uint64_t count,
-                      const std::function<void(std::uint64_t, std::uint64_t)>& fn) {
-  if (pool != nullptr) {
-    pool->parallel_for(0, count, fn);
-  } else {
+template <typename Fn>
+void for_range(ThreadPool* pool, std::uint64_t count, const Fn& fn) {
+  if (pool == nullptr) {
     fn(0, count);
+    return;
   }
+  parallel_range(
+      *pool, count,
+      [](const void* ctx, std::uint64_t begin, std::uint64_t end) {
+        (*static_cast<const Fn*>(ctx))(begin, end);
+      },
+      &fn);
 }
 }  // namespace detail
 

@@ -1,16 +1,33 @@
-// Binds the per-ISA kernel tables to the runtime dispatch entry points.
+// Binds the per-ISA kernel tables to the runtime dispatch entry points,
+// and hands the kernels' pooled ranges to the thread pool.
 #include "qgear/sim/kernel_table.hpp"
 #include "qgear/sim/kernels_scalar.hpp"
 
 namespace qgear::sim {
 
-namespace {
+namespace detail {
 
-template <typename T>
-const KernelTable<T>& scalar_table() {
-  static const KernelTable<T> t = scalar::make_scalar_table<T>();
+void parallel_range(ThreadPool& pool, std::uint64_t count,
+                    void (*body)(const void*, std::uint64_t, std::uint64_t),
+                    const void* ctx) {
+  pool.parallel_for(0, count, [body, ctx](std::uint64_t b, std::uint64_t e) {
+    body(ctx, b, e);
+  });
+}
+
+const KernelTable<float>& scalar_table_f() {
+  static const KernelTable<float> t = scalar::make_scalar_table<float>();
   return t;
 }
+
+const KernelTable<double>& scalar_table_d() {
+  static const KernelTable<double> t = scalar::make_scalar_table<double>();
+  return t;
+}
+
+}  // namespace detail
+
+namespace {
 
 template <typename T>
 const KernelTable<T>& isa_table(Isa isa);
@@ -18,6 +35,8 @@ const KernelTable<T>& isa_table(Isa isa);
 template <>
 const KernelTable<float>& isa_table<float>(Isa isa) {
   switch (isa) {
+    case Isa::avx512:
+      return detail::avx512_table_f();
     case Isa::avx2:
       return detail::avx2_table_f();
     case Isa::sse2:
@@ -25,12 +44,14 @@ const KernelTable<float>& isa_table<float>(Isa isa) {
     case Isa::scalar:
       break;
   }
-  return scalar_table<float>();
+  return detail::scalar_table_f();
 }
 
 template <>
 const KernelTable<double>& isa_table<double>(Isa isa) {
   switch (isa) {
+    case Isa::avx512:
+      return detail::avx512_table_d();
     case Isa::avx2:
       return detail::avx2_table_d();
     case Isa::sse2:
@@ -38,7 +59,7 @@ const KernelTable<double>& isa_table<double>(Isa isa) {
     case Isa::scalar:
       break;
   }
-  return scalar_table<double>();
+  return detail::scalar_table_d();
 }
 
 }  // namespace

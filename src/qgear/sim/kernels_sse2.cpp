@@ -7,7 +7,6 @@
 // baseline already implies SSE2 so this mostly exercises the dispatch
 // path and gives a deterministic non-FMA reference on AVX2 hosts.
 #include "qgear/sim/kernel_table.hpp"
-#include "qgear/sim/kernels_scalar.hpp"
 
 #if defined(__SSE2__)
 
@@ -106,7 +105,7 @@ const KernelTable<double>& sse2_table_d() {
       KD::apply_x,            KD::apply_cx,
       KD::apply_phase_mask,   KD::apply_swap,
       KD::apply_2q_dense,     KD::apply_multi_dense,
-      KD::apply_multi_diag,   scalar::apply_multi_permutation<double>};
+      KD::apply_multi_diag,   scalar_table_d().apply_multi_permutation};
   return t;
 }
 
@@ -116,7 +115,7 @@ const KernelTable<float>& sse2_table_f() {
       KF::apply_x,            KF::apply_cx,
       KF::apply_phase_mask,   KF::apply_swap,
       KF::apply_2q_dense,     KF::apply_multi_dense,
-      KF::apply_multi_diag,   scalar::apply_multi_permutation<float>};
+      KF::apply_multi_diag,   scalar_table_f().apply_multi_permutation};
   return t;
 }
 
@@ -127,15 +126,9 @@ const KernelTable<float>& sse2_table_f() {
 
 namespace qgear::sim::detail {
 
-const KernelTable<double>& sse2_table_d() {
-  static const KernelTable<double> t = scalar::make_scalar_table<double>();
-  return t;
-}
+const KernelTable<double>& sse2_table_d() { return scalar_table_d(); }
 
-const KernelTable<float>& sse2_table_f() {
-  static const KernelTable<float> t = scalar::make_scalar_table<float>();
-  return t;
-}
+const KernelTable<float>& sse2_table_f() { return scalar_table_f(); }
 
 }  // namespace qgear::sim::detail
 

@@ -187,17 +187,18 @@ void check_all_kernels(unsigned n) {
   }
 }
 
-/// Pooled sweeps at n = 15, where every range (per amplitude, pair,
-/// group or vector) has at least 4,096 items and so splits: the 1q
-/// kernels at qubits {0, 1, 2, 14}, and apply_2q_dense with
-/// lower qubit 0, 1 or 2, inside one vector or just above it on every ISA.
+/// Pooled sweeps at n = 16, where every range (per amplitude, pair,
+/// group or vector) has at least 4,096 items and so splits; the smallest
+/// is the 8-lane in-register 2q range, 2^(n-1) / 8 vectors. The 1q
+/// kernels run at qubits {0, 1, 2, 3, 15}, and apply_2q_dense with lower
+/// qubit 0 to 3, inside one vector or just above it on every ISA.
 /// Dense blocks of m = 3, 4 and 5 qubits run at n = m + 12, which gives
 /// them 4,096 groups; the pool's chunks then end inside a register tile.
 template <typename T>
 void check_pooled_kernels() {
-  constexpr unsigned n = 15;
+  constexpr unsigned n = 16;
   constexpr bool kSplit = true;
-  const unsigned positions[] = {0, 1, 2, 14};
+  const unsigned positions[] = {0, 1, 2, 3, 15};
   for (unsigned q : positions) {
     const auto m = random_mat2(700 + q);
     expect_all_isas_match<T>(
@@ -214,8 +215,8 @@ void check_pooled_kernels() {
         },
         kSplit);
   }
-  for (unsigned lo : {0u, 1u, 2u}) {
-    for (unsigned hi : {1u, 2u, 8u, 14u}) {
+  for (unsigned lo : {0u, 1u, 2u, 3u}) {
+    for (unsigned hi : {1u, 2u, 3u, 8u, 15u}) {
       if (lo >= hi) continue;
       const auto m4 = random_cvec(16, 800 + lo * n + hi);
       expect_all_isas_match<T>(
@@ -446,22 +447,45 @@ TEST(KernelsSimd, IsaParsingAndOverride) {
   EXPECT_EQ(isa, Isa::sse2);
   EXPECT_TRUE(parse_isa("avx2", &isa));
   EXPECT_EQ(isa, Isa::avx2);
-  EXPECT_FALSE(parse_isa("avx512", &isa));
+  EXPECT_TRUE(parse_isa("avx512", &isa));
+  EXPECT_EQ(isa, Isa::avx512);
+  EXPECT_FALSE(parse_isa("avx512f", &isa));
   EXPECT_FALSE(parse_isa("", &isa));
 
   EXPECT_STREQ(isa_name(Isa::scalar), "scalar");
   EXPECT_STREQ(isa_name(Isa::sse2), "sse2");
   EXPECT_STREQ(isa_name(Isa::avx2), "avx2");
+  EXPECT_STREQ(isa_name(Isa::avx512), "avx512");
 
   // scalar is always supported; overrides clamp to the host's best.
   EXPECT_TRUE(isa_supported(Isa::scalar));
   EXPECT_EQ(set_active_isa(Isa::scalar), Isa::scalar);
   EXPECT_EQ(active_isa(), Isa::scalar);
-  const Isa applied = set_active_isa(Isa::avx2);
-  EXPECT_LE(static_cast<int>(applied),
-            static_cast<int>(best_supported_isa()));
-  EXPECT_EQ(active_isa(), applied);
+  for (Isa requested : {Isa::avx2, Isa::avx512}) {
+    const Isa applied = set_active_isa(requested);
+    EXPECT_EQ(applied, isa_supported(requested) ? requested
+                                                : best_supported_isa())
+        << isa_name(requested);
+    EXPECT_EQ(active_isa(), applied);
+  }
 }
+
+#if defined(__x86_64__) || defined(__i386__)
+TEST(KernelsSimd, CpuidPicksTheWidestTier) {
+  // The AVX-512 table hands some calls to AVX2, so it needs both.
+  __builtin_cpu_init();
+  const bool avx2 =
+      __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+  if (avx2 && __builtin_cpu_supports("avx512f")) {
+    EXPECT_EQ(best_supported_isa(), Isa::avx512);
+  } else if (avx2) {
+    EXPECT_EQ(best_supported_isa(), Isa::avx2);
+  } else {
+    EXPECT_LT(static_cast<int>(best_supported_isa()),
+              static_cast<int>(Isa::avx2));
+  }
+}
+#endif
 
 }  // namespace
 }  // namespace qgear::sim

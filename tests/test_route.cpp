@@ -1,11 +1,8 @@
 // Router unit tests: feature extraction, the cost model, plan
 // determinism, budget enforcement (including the fp32-forbidden path),
 // calibration round-trips, and the qgear.route.report/v1 shape.
-#include "qgear/route/route.hpp"
-
-#include <gtest/gtest.h>
-
 #include <cstdio>
+#include <gtest/gtest.h>
 #include <string>
 #include <vector>
 
@@ -19,6 +16,7 @@
 #include "qgear/route/calibration.hpp"
 #include "qgear/route/cost.hpp"
 #include "qgear/route/features.hpp"
+#include "qgear/route/route.hpp"
 #include "qgear/sim/isa.hpp"
 
 namespace qgear::route {
@@ -73,6 +71,7 @@ TEST(RouteCost, IsaSpeedFactorsRankTiers) {
   EXPECT_LT(isa_speed_factor(sim::Isa::sse2),
             isa_speed_factor(sim::Isa::avx2));
   EXPECT_DOUBLE_EQ(isa_speed_factor(sim::Isa::avx2), 1.0);
+  EXPECT_DOUBLE_EQ(isa_speed_factor(sim::Isa::avx512), 1.0);
 }
 
 TEST(RouteCost, StatevectorTimeGrowsWithRegisterSize) {

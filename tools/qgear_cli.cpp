@@ -528,7 +528,7 @@ int cmd_run_transformer(const Args& args,
   opts.fusion_width = static_cast<unsigned>(args.u64("fusion", 5));
   const core::RunOptions run{.shots = args.u64("shots", 0)};
   std::printf("kernel isa: %s (best supported: %s; override with "
-              "QGEAR_ISA=scalar|sse2|avx2)\n",
+              "QGEAR_ISA=scalar|sse2|avx2|avx512)\n",
               sim::isa_name(sim::active_isa()),
               sim::isa_name(sim::best_supported_isa()));
 
