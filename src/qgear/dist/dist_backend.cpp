@@ -27,6 +27,7 @@ class DistBackend final : public sim::Backend {
     QGEAR_CHECK_ARG((std::uint64_t{1} << std::min(num_qubits, 32u)) >= ranks,
                     "dist: more ranks than amplitudes");
     circuit_.emplace(num_qubits);
+    state_.reset();
     stats_.reset();
   }
 
@@ -38,6 +39,7 @@ class DistBackend final : public sim::Backend {
                      std::vector<unsigned>* measured) override {
     require_state();
     circuit_->compose(qc);
+    state_.reset();
     if (measured != nullptr) {
       for (const qiskit::Instruction& inst : qc.instructions()) {
         if (inst.kind == qiskit::GateKind::measure) {
@@ -49,25 +51,14 @@ class DistBackend final : public sim::Backend {
 
   sim::Counts sample(const std::vector<unsigned>& measured_qubits,
                      std::uint64_t shots, Rng& rng) override {
-    require_state();
-    // Replay with the requested qubits as the program's measurements so
-    // keys pack exactly like the in-process backends (bit j = qubit
-    // measured_qubits[j]); empty = implicit full measurement.
-    qiskit::QuantumCircuit qc = unitary_part();
-    for (unsigned q : measured_qubits) qc.measure(static_cast<int>(q));
-    RunOptions ro = run_options();
-    ro.shots = shots;
-    ro.seed = rng();
-    RunResult<double> result = run_distributed<double>(qc, ro);
-    fold_rank_stats(result);
-    return std::move(result.counts);
+    return sim::sample_counts(final_state(), measured_qubits, shots, rng);
   }
 
   double expectation(const sim::PauliTerm& term) override {
-    return sim::expectation(gathered_state(), term);
+    return sim::expectation(final_state(), term);
   }
   double expectation(const sim::Observable& obs) override {
-    return sim::expectation(gathered_state(), obs);
+    return sim::expectation(final_state(), obs);
   }
 
   std::uint64_t memory_estimate(
@@ -104,37 +95,29 @@ class DistBackend final : public sim::Backend {
     return ro;
   }
 
-  /// The accumulated circuit without its measure instructions (sampling
-  /// re-adds the qubits the caller asks for).
-  qiskit::QuantumCircuit unitary_part() const {
-    qiskit::QuantumCircuit qc(circuit_->num_qubits(), circuit_->name());
-    for (const qiskit::Instruction& inst : circuit_->instructions()) {
-      if (inst.kind != qiskit::GateKind::measure) qc.append(inst);
-    }
-    return qc;
-  }
-
-  sim::StateVector<double> gathered_state() {
+  /// The state the accumulated circuit leaves, run and gathered once
+  /// after the last init_state or apply_circuit.
+  const sim::StateVector<double>& final_state() {
     require_state();
+    if (state_) return *state_;
     const unsigned n = circuit_->num_qubits();
     QGEAR_CHECK_ARG(n <= 28,
-                    "dist: expectation gathers the full state (n <= 28)");
+                    "dist: sample and expectation gather the full state "
+                    "(n <= 28)");
     RunOptions ro = run_options();
     ro.gather_state = true;
-    RunResult<double> result = run_distributed<double>(unitary_part(), ro);
-    fold_rank_stats(result);
-    sim::StateVector<double> state(n);
-    QGEAR_ENSURES(result.state.size() == state.size());
-    std::copy(result.state.begin(), result.state.end(), state.data());
-    return state;
-  }
-
-  void fold_rank_stats(const RunResult<double>& result) {
+    RunResult<double> result = run_distributed<double>(*circuit_, ro);
     for (const sim::EngineStats& s : result.rank_stats) stats_ += s;
+    // Checked before state_ is set, so a failed run leaves nothing cached.
+    QGEAR_ENSURES(result.state.size() == (std::uint64_t{1} << n));
+    state_.emplace(n);
+    std::copy(result.state.begin(), result.state.end(), state_->data());
+    return *state_;
   }
 
   sim::BackendOptions opts_;
   std::optional<qiskit::QuantumCircuit> circuit_;
+  std::optional<sim::StateVector<double>> state_;  ///< empty until run
   sim::EngineStats stats_;
 };
 

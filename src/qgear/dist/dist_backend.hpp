@@ -8,11 +8,14 @@
 //   qgear::dist::register_dist_backend();
 //   auto be = qgear::sim::Backend::create("dist", opts);
 //
-// Semantics are replay-based: apply_circuit accumulates the composed
-// circuit, and each sample()/expectation() call replays it through
-// run_distributed across BackendOptions::dist_ranks SPMD ranks. That
-// keeps the one-shot SPMD driver untouched while conforming to the
-// incremental Backend lifecycle.
+// apply_circuit accumulates the composed circuit. The first sample() or
+// expectation() after the last init_state or apply_circuit runs it once
+// through run_distributed across BackendOptions::dist_ranks SPMD ranks
+// and gathers the final state; every later query reads that state, as
+// the in-process statevector backends do. Both queries therefore gather
+// the full state, so the backend answers them up to 28 qubits. No
+// caller samples it above that: the CLI also reads <Z> on every qubit,
+// which gathers anyway; serve refuses dist jobs; route only prices dist.
 #pragma once
 
 #include "qgear/sim/backend.hpp"

@@ -9,7 +9,7 @@
 //
 // Two schedules (see docs/DISTRIBUTED.md): apply_circuit, the per-gate
 // schedule above — the paper's nvidia-mgpu baseline and the oracle — and
-// apply_circuit_remapped, which walks a schedule compiled by dist/remap:
+// apply_circuit_remapped, which walks a program compiled by dist::compile:
 // slab swaps trade global index bits for local ones so gate runs execute
 // communication-free as fused blocks. Every exchange of either schedule
 // is one comm::BatchExchange (run_exchange), whose chunks let the update
@@ -32,12 +32,12 @@
 #include "qgear/common/bits.hpp"
 #include "qgear/common/thread_pool.hpp"
 #include "qgear/common/timer.hpp"
-#include "qgear/dist/remap.hpp"
 #include "qgear/obs/metrics.hpp"
 #include "qgear/obs/trace.hpp"
 #include "qgear/qiskit/circuit.hpp"
 #include "qgear/sim/apply.hpp"
 #include "qgear/sim/fused.hpp"
+#include "qgear/sim/program.hpp"
 #include "qgear/sim/stats.hpp"
 
 namespace qgear::dist {
@@ -141,13 +141,14 @@ class DistStateVector {
   /// d (compile_swap_batch), so per-rank traffic is slab*(2^k-1)/2^k — vs
   /// k half-slabs for sequential swaps. Rounds post NVLink-domain peers
   /// first. `tag` must be allocated uniformly across ranks.
-  void exchange_index_bit_swap(std::span<const SlabSwap> swaps, int tag) {
-    run_swap_batch(compile_swap_batch(swaps, num_qubits_, local_qubits_),
+  void exchange_index_bit_swap(std::span<const sim::SlabSwap> swaps,
+                               int tag) {
+    run_swap_batch(sim::compile_swap_batch(swaps, num_qubits_, local_qubits_),
                    tag);
   }
 
   /// Physical index-bit position currently holding logical qubit q.
-  /// Identity until apply_circuit_remapped installs a plan's final map.
+  /// Identity until apply_circuit_remapped installs a program's final map.
   unsigned physical_qubit(unsigned q) const {
     QGEAR_EXPECTS(q < num_qubits_);
     return l2p_.empty() ? q : l2p_[q];
@@ -180,14 +181,14 @@ class DistStateVector {
     stats_.seconds += timer.seconds();
   }
 
-  /// Walks a compiled remap schedule (see dist/remap.hpp): each
-  /// segment's swap batch re-bases the layout, its fused runs go through
+  /// Walks a program compiled by dist::compile: each segment's swap
+  /// batch re-bases the layout, its fused runs go through
   /// sim::run_fused_blocks and its other instructions through apply().
-  /// Logical swap gates are already absorbed into the plan's qubit map,
-  /// which is installed at the end so gather() and physical_qubit()
-  /// resolve logical indices. Every rank must walk the same schedule, so
+  /// Logical swap gates are already absorbed into the program's qubit
+  /// map, which is installed at the end so gather() and physical_qubit()
+  /// resolve logical indices. Every rank must walk the same program, so
   /// tag allocation stays uniform.
-  void apply_circuit_remapped(const RemapSchedule& sched,
+  void apply_circuit_remapped(const sim::Program& program,
                               std::vector<unsigned>* measured = nullptr);
 
   /// Sum of local |amp|^2.
@@ -296,7 +297,7 @@ class DistStateVector {
                     const ChunkFn& consume);
 
   // exchange_index_bit_swap's body, on an already compiled batch.
-  void run_swap_batch(const SwapBatch& batch, int tag);
+  void run_swap_batch(const sim::SwapBatch& batch, int tag);
 
   // A per-gate exchange: trades `mine` with `partner` as a one-round
   // batch and calls update(j, theirs_j) for every amplitude index j of
@@ -412,8 +413,9 @@ void DistStateVector<T>::exchange_apply_controlled_local_control(
 }
 
 template <typename T>
-void DistStateVector<T>::run_swap_batch(const SwapBatch& batch, int tag) {
-  const std::vector<SlabSwap>& ps = batch.swaps;
+void DistStateVector<T>::run_swap_batch(const sim::SwapBatch& batch,
+                                        int tag) {
+  const std::vector<sim::SlabSwap>& ps = batch.swaps;
   const unsigned k = static_cast<unsigned>(ps.size());
   obs::Span span(obs::Tracer::global(), "dist.exchange_batch", "dist");
   if (span.active()) {
@@ -600,31 +602,31 @@ void DistStateVector<T>::apply(const qiskit::Instruction& inst,
 
 template <typename T>
 void DistStateVector<T>::apply_circuit_remapped(
-    const RemapSchedule& sched, std::vector<unsigned>* measured) {
-  QGEAR_CHECK_ARG(sched.plan.num_qubits == num_qubits_,
-                  "dist: plan qubit count mismatch");
-  QGEAR_CHECK_ARG(sched.plan.num_local == local_qubits_,
-                  "dist: plan local qubit count mismatch");
+    const sim::Program& program, std::vector<unsigned>* measured) {
+  QGEAR_CHECK_ARG(program.num_qubits == num_qubits_,
+                  "dist: program qubit count mismatch");
+  QGEAR_CHECK_ARG(program.num_local == local_qubits_,
+                  "dist: program local qubit count mismatch");
   obs::Span span(obs::Tracer::global(), "dist.apply_circuit_remapped",
                  "dist");
   if (span.active()) {
     span.arg("rank", std::uint64_t{unsigned(rank_)});
-    span.arg("slab_swaps", sched.plan.slab_swaps);
+    span.arg("slab_swaps", program.slab_swaps);
   }
   WallTimer timer;
-  for (const ScheduleSegment& seg : sched.segments) {
+  for (const sim::Segment& seg : program.segments) {
     // One tag covers the whole batch (allocated on every rank).
     if (!seg.batch.swaps.empty()) run_swap_batch(seg.batch, next_tag());
-    for (const ScheduleStep& step : seg.steps) {
-      if (step.blocks.empty()) {
-        apply(step.inst, measured);
+    for (const sim::Step& step : seg.steps) {
+      if (step.inst) {
+        apply(*step.inst, measured);
       } else {
         sim::run_fused_blocks<T>(amps_.data(), local_qubits_, step.blocks,
                                  pool_, stats_);
       }
     }
   }
-  l2p_ = sched.plan.logical_to_physical;
+  l2p_ = program.logical_to_physical;
   stats_.seconds += timer.seconds();
 }
 

@@ -260,54 +260,26 @@ RemapPlan plan_remap(const qiskit::QuantumCircuit& qc, unsigned num_local,
   return best;
 }
 
-SwapBatch compile_swap_batch(std::span<const SlabSwap> swaps,
-                             unsigned num_qubits, unsigned num_local) {
-  QGEAR_CHECK_ARG(!swaps.empty(), "dist: empty index-bit-swap batch");
-  SwapBatch batch{{swaps.begin(), swaps.end()}, {}};
-  std::vector<SlabSwap>& ps = batch.swaps;
-  std::sort(ps.begin(), ps.end(), [](const SlabSwap& a, const SlabSwap& b) {
-    return a.local_phys < b.local_phys;
-  });
-  const unsigned k = static_cast<unsigned>(ps.size());
-  QGEAR_CHECK_ARG(k <= num_local && k <= num_qubits - num_local,
-                  "dist: index-bit-swap batch wider than the layout");
-  for (unsigned i = 0; i < k; ++i) {
-    QGEAR_CHECK_ARG(ps[i].local_phys < num_local &&
-                        ps[i].global_phys >= num_local &&
-                        ps[i].global_phys < num_qubits,
-                    "dist: index-bit-swap pair out of range");
-    QGEAR_CHECK_ARG(i == 0 || ps[i].local_phys != ps[i - 1].local_phys,
-                    "dist: duplicate local bit in index-bit-swap batch");
-    for (unsigned j = 0; j < i; ++j) {
-      QGEAR_CHECK_ARG(ps[j].global_phys != ps[i].global_phys,
-                      "dist: duplicate global bit in index-bit-swap batch");
-    }
-  }
-  for (std::uint64_t d = 1; d < pow2(k); ++d) {
-    std::uint64_t mask = 0;
-    for (unsigned i = 0; i < k; ++i) {
-      if ((d >> i) & 1u) mask |= pow2(ps[i].global_phys - num_local);
-    }
-    batch.peer_masks.push_back(mask);
-  }
-  return batch;
-}
-
-RemapSchedule compile_schedule(RemapPlan plan, unsigned fusion_width) {
+sim::Program compile(const qiskit::QuantumCircuit& qc, unsigned fusion_width,
+                     unsigned num_local) {
   QGEAR_CHECK_ARG(fusion_width >= 1, "dist: fusion width must be >= 1");
-  const unsigned num_local = plan.num_local;
-  sim::FusionOptions fusion;
-  fusion.max_width = std::min(fusion_width, num_local);
-  RemapSchedule sched;
+  RemapPlan plan = plan_remap(qc, num_local);
+  const unsigned width = std::min(fusion_width, num_local);
+  sim::Program program;
+  program.circuit = qc;
+  program.num_qubits = plan.num_qubits;
+  program.num_local = num_local;
   for (const RemapSegment& seg : plan.segments) {
-    ScheduleSegment& out = sched.segments.emplace_back();
+    sim::Segment& out = program.segments.emplace_back();
     if (!seg.swaps.empty()) {
-      out.batch = compile_swap_batch(seg.swaps, plan.num_qubits, num_local);
+      out.batch =
+          sim::compile_swap_batch(seg.swaps, plan.num_qubits, num_local);
     }
     qiskit::QuantumCircuit run(num_local, "local_run");
     const auto flush_run = [&] {
       if (run.empty()) return;
-      out.steps.push_back({sim::plan_fusion(run, fusion).blocks, {}});
+      out.steps.push_back({sim::plan_fusion(run, {.max_width = width}).blocks,
+                           {}});
       run = qiskit::QuantumCircuit(num_local, "local_run");
     };
     for (const Instruction& inst : seg.insts) {
@@ -323,8 +295,17 @@ RemapSchedule compile_schedule(RemapPlan plan, unsigned fusion_width) {
     }
     flush_run();
   }
-  sched.plan = std::move(plan);
-  return sched;
+  for (const Instruction& inst : qc.instructions()) {
+    if (inst.kind == GateKind::measure) {
+      program.measured.push_back(static_cast<unsigned>(inst.q0));
+    } else if (qiskit::gate_info(inst.kind).unitary) {
+      ++program.input_gates;
+    }
+  }
+  program.logical_to_physical = std::move(plan.logical_to_physical);
+  program.slab_swaps = plan.slab_swaps;
+  program.elided_swap_gates = plan.elided_swap_gates;
+  return program;
 }
 
 std::uint64_t plan_exchange_bytes_total(const RemapPlan& plan,

@@ -13,7 +13,7 @@
 // elided entirely: a swap is just a relabeling of the live
 // logical→physical map, costing zero communication and zero sweeps.
 //
-// compile_schedule turns a plan into the schedule that runs: each swap
+// dist::compile turns a plan into the sim::Program that runs: each swap
 // batch with its round peer masks, each run of local-qubit unitaries
 // fusion-planned, the other instructions in order. It is built once per
 // run and read by every rank, by perfmodel and by `qgear_cli estimate
@@ -21,11 +21,10 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "qgear/qiskit/circuit.hpp"
-#include "qgear/sim/fusion.hpp"
+#include "qgear/sim/program.hpp"
 
 namespace qgear::dist {
 
@@ -38,23 +37,12 @@ struct RemapOptions {
   unsigned max_batch = 4;
 };
 
-/// One slab shuffle: exchange index bit `local_phys` with `global_phys`.
-/// Every rank gathers the half-slab whose bit `local_phys` differs from
-/// its own global bit and trades it with the partner rank across global
-/// bit `global_phys` — half-slab bytes per rank.
-struct SlabSwap {
-  unsigned local_phys = 0;
-  unsigned global_phys = 0;
-
-  bool operator==(const SlabSwap&) const = default;
-};
-
 /// A run of physical-qubit instructions preceded by the slab swaps that
 /// establish its layout. Measure instructions keep their *logical* qubit
 /// (sampling resolves them through the final map); everything else is
 /// rewritten to physical ids.
 struct RemapSegment {
-  std::vector<SlabSwap> swaps;
+  std::vector<sim::SlabSwap> swaps;
   std::vector<qiskit::Instruction> insts;
 };
 
@@ -82,49 +70,15 @@ struct RemapPlan {
 RemapPlan plan_remap(const qiskit::QuantumCircuit& qc, unsigned num_local,
                      RemapOptions opts = {});
 
-/// An index-bit-swap batch as the engine runs it: the swaps by ascending
-/// local bit, and for round d = 1..2^k-1 the mask of rank bits its peer
-/// differs in (the global bits of the swaps whose bit is set in d). Round
-/// d trades slab group b^d, b being the rank's own global bits over the
-/// batch, with rank ^ peer_masks[d-1].
-struct SwapBatch {
-  std::vector<SlabSwap> swaps;
-  std::vector<std::uint64_t> peer_masks;
-};
-
-/// Sorts and checks `swaps` against a layout of `num_qubits` qubits, the
-/// lowest `num_local` of them local, and derives the round masks. Throws
-/// InvalidArgument for an empty batch, one wider than either side of the
-/// layout, a bit on the wrong side or a repeated bit.
-SwapBatch compile_swap_batch(std::span<const SlabSwap> swaps,
-                             unsigned num_qubits, unsigned num_local);
-
-/// One step of a compiled segment: a fusion-planned run of local-qubit
-/// unitaries or, when `blocks` is empty, one instruction dispatched on
-/// its own (an exchange, a diagonal gate on a global qubit, a barrier or
-/// a measure).
-struct ScheduleStep {
-  std::vector<sim::FusedBlock> blocks;
-  qiskit::Instruction inst;
-};
-
-struct ScheduleSegment {
-  SwapBatch batch;  ///< no swaps: the segment keeps the layout
-  std::vector<ScheduleStep> steps;
-};
-
-/// A plan compiled for execution; segments[i] runs plan.segments[i].
-struct RemapSchedule {
-  RemapPlan plan;
-  std::vector<ScheduleSegment> segments;
-};
-
-/// Compiles `plan`: each segment's swaps through compile_swap_batch, and
-/// its instructions split into maximal runs of unitaries on local qubits,
-/// each planned by sim::plan_fusion at min(fusion_width, num_local), with
-/// every other instruction a step of its own. A run ends at any other
-/// instruction, barriers and measures included.
-RemapSchedule compile_schedule(RemapPlan plan, unsigned fusion_width);
+/// Compiles `qc` for a slab layout with `num_local` local qubits: plans
+/// it with plan_remap, compiles each segment's swaps through
+/// sim::compile_swap_batch and splits its instructions into maximal runs
+/// of unitaries on local qubits, each planned by sim::plan_fusion at
+/// min(fusion_width, num_local), with every other instruction a step of
+/// its own. A run ends at any other instruction, barriers and measures
+/// included. Program segment i runs plan segment i.
+sim::Program compile(const qiskit::QuantumCircuit& qc, unsigned fusion_width,
+                     unsigned num_local);
 
 /// Total bytes every rank together would exchange executing `plan`
 /// (slab swaps plus residual per-gate exchanges) — comparable to

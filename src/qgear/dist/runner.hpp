@@ -221,12 +221,11 @@ RunResult<T> run_distributed(const qiskit::QuantumCircuit& qc,
       qc.num_qubits() -
       log2_exact(static_cast<std::uint64_t>(opts.num_ranks));
 
-  // Planned and compiled once, outside the SPMD region: every rank walks
-  // this one schedule, so their tag sequences stay identical.
-  std::optional<RemapSchedule> sched;
+  // Compiled once, outside the SPMD region: every rank walks this one
+  // program, so their tag sequences stay identical.
+  std::optional<sim::Program> program;
   if (opts.remap) {
-    sched.emplace(compile_schedule(plan_remap(qc, num_local),
-                                   std::max(opts.fusion_width, 1u)));
+    program.emplace(compile(qc, std::max(opts.fusion_width, 1u), num_local));
   }
 
   comm::World world(opts.num_ranks);
@@ -253,8 +252,8 @@ RunResult<T> run_distributed(const qiskit::QuantumCircuit& qc,
                                    sizeof(std::complex<T>));
     state.set_exchange_resilience(opts.exchange_resilience);
     std::vector<unsigned> measured;
-    if (sched) {
-      state.apply_circuit_remapped(*sched, &measured);
+    if (program) {
+      state.apply_circuit_remapped(*program, &measured);
     } else {
       state.apply_circuit(qc, &measured);
     }
@@ -294,9 +293,9 @@ RunResult<T> run_distributed(const qiskit::QuantumCircuit& qc,
   result.trace = world.trace();
   result.circuit_exchange_bytes = circuit_bytes;
   result.trace_id = run_ctx.trace_id;
-  if (sched) {
-    result.remap_slab_swaps = sched->plan.slab_swaps;
-    result.remap_elided_swaps = sched->plan.elided_swap_gates;
+  if (program) {
+    result.remap_slab_swaps = program->slab_swaps;
+    result.remap_elided_swaps = program->elided_swap_gates;
   }
 
   // Per-rank observability rollup: exchange bytes come from the exact comm
@@ -321,8 +320,8 @@ RunResult<T> run_distributed(const qiskit::QuantumCircuit& qc,
   reg.counter("dist.runs").add();
   reg.counter("dist.exchange_bytes").add(result.trace.total_bytes);
   reg.counter("dist.messages").add(result.trace.entries.size());
-  if (sched) {
-    reg.counter("dist.remap_swaps").add(sched->plan.slab_swaps);
+  if (program) {
+    reg.counter("dist.remap_swaps").add(program->slab_swaps);
     const std::uint64_t baseline = schedule_exchange_bytes_total(
         qc, num_local, sizeof(std::complex<T>));
     if (baseline > circuit_bytes) {

@@ -127,12 +127,12 @@ Estimate estimate_gpu(const qiskit::QuantumCircuit& qc,
   };
 
   if (config.remap && r > 0) {
-    // Price the compiled schedule the engine runs (dist/remap). The
-    // sweeps are the busiest rank's, the one whose global bits are all 1.
-    const dist::RemapSchedule sched = dist::compile_schedule(
-        dist::plan_remap(qc, num_local), config.fusion_width);
-    for (const dist::ScheduleSegment& seg : sched.segments) {
-      const dist::SwapBatch& batch = seg.batch;
+    // Price the program the engine runs (dist::compile). The sweeps are
+    // the busiest rank's, the one whose global bits are all 1.
+    const sim::Program program =
+        dist::compile(qc, config.fusion_width, num_local);
+    for (const sim::Segment& seg : program.segments) {
+      const sim::SwapBatch& batch = seg.batch;
       if (!batch.swaps.empty()) {
         // Gather + scatter touch the traded groups once each: one sweep
         // regardless of batch width. Each round trades one of the 2^k
@@ -147,20 +147,19 @@ Estimate estimate_gpu(const qiskit::QuantumCircuit& qc,
                          static_cast<unsigned>(std::bit_width(mask)) - 1);
         }
       }
-      for (const dist::ScheduleStep& step : seg.steps) {
-        if (!step.blocks.empty()) {
+      for (const sim::Step& step : seg.steps) {
+        if (!step.inst) {
           e.sweeps += step.blocks.size();
-        } else if (qiskit::gate_info(step.inst.kind).unitary) {
+        } else if (qiskit::gate_info(step.inst->kind).unitary) {
           ++e.sweeps;  // diagonal factor sweep or exchange update
-          price_gate(step.inst);
+          price_gate(*step.inst);
         }
       }
     }
   } else {
-    // Sweep count from the real fusion planner (cheap: walks the gate
+    // Sweep count from the one-device program (cheap: walks the gate
     // list); communication from the exact per-gate schedule.
-    e.sweeps =
-        sim::plan_fusion(qc, {.max_width = config.fusion_width}).blocks.size();
+    e.sweeps = sim::compile(qc, config.fusion_width).blocks().size();
     if (r > 0) {
       for (const qiskit::Instruction& inst : qc.instructions()) {
         price_gate(inst);

@@ -30,8 +30,8 @@ struct ClusterConfig {
   core::Precision precision = core::Precision::fp32;
   unsigned fusion_width = 5;
   bool include_container_start = true;
-  /// Price the communication-avoiding remapped schedule: the one
-  /// dist::compile_schedule builds and the distributed engine runs.
+  /// Price the communication-avoiding remapped schedule: the program
+  /// dist::compile builds and the distributed engine runs.
   bool remap = false;
 };
 
@@ -68,9 +68,9 @@ struct Estimate {
   }
 };
 
-/// Prices `qc` on a GPU cluster. Walks the real instruction list: fusion
-/// plan for sweep counts, per-gate schedule for communication — or, with
-/// `remap`, the compiled remap schedule for both.
+/// Prices `qc` on a GPU cluster. Walks the real instruction list: the
+/// sim::compile program for sweep counts, per-gate schedule for
+/// communication — or, with `remap`, the dist::compile program for both.
 Estimate estimate_gpu(const qiskit::QuantumCircuit& qc,
                       const ClusterConfig& config, std::uint64_t shots = 0);
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <complex>
 
+#include "qgear/common/error.hpp"
 #include "qgear/common/strings.hpp"
 #include "qgear/perfmodel/model.hpp"
 
@@ -187,10 +188,10 @@ TimeEstimate time_estimate(const qiskit::QuantumCircuit& qc,
   } else if (cfg.backend == "mps") {
     est = mps_estimate(qc, f, calib, base);
   } else if (cfg.backend == "dist") {
-    // Replayed fused execution across ranks plus exchange overhead; the
+    // Fused execution across ranks plus exchange overhead; the
     // single-process dist backend never beats local fused, so a flat
     // penalty over the fp64 fused model is honest enough for ranking.
-    // The features' fusion plan is at the base width the ranks run.
+    // The features' program is compiled at the base width the ranks run.
     CandidateConfig fcfg = cfg;
     fcfg.backend = "fused";
     fcfg.fusion_width = base.fusion.max_width;
@@ -214,31 +215,19 @@ TimeEstimate time_estimate(const qiskit::QuantumCircuit& qc,
 
 TimeEstimate time_estimate_for(const std::string& backend,
                                const std::string& precision,
-                               const qiskit::QuantumCircuit& qc,
+                               const sim::Program& program,
                                const Calibration& calib,
                                const sim::BackendOptions& base) {
-  // Only the fused and dist prices read the block counts; the others are
-  // priced with an empty plan, which leaves their estimate unchanged.
-  const bool reads_blocks = backend == "fused" || backend == "dist";
-  return time_estimate_for(
-      backend, precision, qc,
-      reads_blocks ? sim::plan_fusion(qc, base.fusion) : sim::FusionPlan{},
-      calib, base);
-}
-
-TimeEstimate time_estimate_for(const std::string& backend,
-                               const std::string& precision,
-                               const qiskit::QuantumCircuit& qc,
-                               const sim::FusionPlan& plan,
-                               const Calibration& calib,
-                               const sim::BackendOptions& base) {
-  const CircuitFeatures f = extract_features(qc, plan);
+  QGEAR_CHECK_ARG((backend != "fused" && backend != "dist") ||
+                      !program.segments.empty(),
+                  "route: the " + backend + " price needs a compiled program");
+  const CircuitFeatures f = extract_features(program);
   CandidateConfig cfg;
   cfg.backend = backend;
   cfg.precision = precision.empty() ? "fp64" : precision;
   cfg.isa = sim::active_isa();
   cfg.fusion_width = base.fusion.max_width;
-  return time_estimate(qc, f, cfg, calib, base, f.fused_blocks);
+  return time_estimate(program.circuit, f, cfg, calib, base, f.fused_blocks);
 }
 
 }  // namespace qgear::route

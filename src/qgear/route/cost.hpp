@@ -63,11 +63,11 @@ double fp64_error_bound(std::uint64_t unitary_gates);
 /// measurements). route::plan prices only the best supported tier.
 double isa_speed_factor(sim::Isa isa);
 
-/// Prices one candidate. `fused_sweeps` is the fused candidate's
-/// fusion-plan block count at cfg.fusion_width (route::plan computes one
-/// per width). `base` carries the engine knobs (dd node budget, mps bond
-/// cap, the fusion width the features were planned at) that shape both
-/// the memory estimate and the time model.
+/// Prices one candidate. `fused_sweeps` is the fused candidate's block
+/// count at cfg.fusion_width (route::plan compiles once per width).
+/// `base` carries the engine knobs (dd node budget, mps bond cap, the
+/// fusion width the features were compiled at) that shape both the
+/// memory estimate and the time model.
 TimeEstimate time_estimate(const qiskit::QuantumCircuit& qc,
                            const CircuitFeatures& f,
                            const CandidateConfig& cfg,
@@ -75,24 +75,15 @@ TimeEstimate time_estimate(const qiskit::QuantumCircuit& qc,
                            const sim::BackendOptions& base,
                            std::uint64_t fused_sweeps);
 
-/// Prices circuit `qc` on a fixed, already-chosen backend/precision at
-/// the active ISA and `base.fusion.max_width`, without enumerating
-/// alternatives. `plan` is `qc`'s fusion plan at that width, which the
-/// caller already holds (serve admission prices a fused job from the plan
-/// its worker runs).
+/// Prices `program` on a fixed, already-chosen backend/precision at the
+/// active ISA and `base.fusion.max_width`, without enumerating
+/// alternatives. The fused and dist prices read the blocks of a program
+/// compiled at that width (serve admission prices a fused job from the
+/// program its worker runs); reference, dd, mps and unmodelled backends
+/// read only its circuit, so a program that compiled nothing will do.
 TimeEstimate time_estimate_for(const std::string& backend,
                                const std::string& precision,
-                               const qiskit::QuantumCircuit& qc,
-                               const sim::FusionPlan& plan,
-                               const Calibration& calib,
-                               const sim::BackendOptions& base = {});
-
-/// As above, planning `qc` at `base.fusion` first for the backends whose
-/// price reads the plan's blocks (fused and dist); reference, dd, mps and
-/// unmodelled backends are priced without planning.
-TimeEstimate time_estimate_for(const std::string& backend,
-                               const std::string& precision,
-                               const qiskit::QuantumCircuit& qc,
+                               const sim::Program& program,
                                const Calibration& calib,
                                const sim::BackendOptions& base = {});
 

@@ -45,13 +45,8 @@ bool is_rotation_gate(qiskit::GateKind kind) {
 
 }  // namespace
 
-CircuitFeatures extract_features(const qiskit::QuantumCircuit& qc,
-                                 const sim::FusionOptions& fusion) {
-  return extract_features(qc, sim::plan_fusion(qc, fusion));
-}
-
-CircuitFeatures extract_features(const qiskit::QuantumCircuit& qc,
-                                 const sim::FusionPlan& plan) {
+CircuitFeatures extract_features(const sim::Program& program) {
+  const qiskit::QuantumCircuit& qc = program.circuit;
   CircuitFeatures f;
   f.num_qubits = qc.num_qubits();
   f.depth = qc.depth();
@@ -108,15 +103,18 @@ CircuitFeatures extract_features(const qiskit::QuantumCircuit& qc,
     f.mean_bond_exponent = sum / static_cast<double>(n - 1);
   }
 
-  f.fused_blocks = plan.blocks.size();
-  for (const sim::FusedBlock& b : plan.blocks) {
+  const std::span<const sim::FusedBlock> blocks = program.blocks();
+  f.fused_blocks = blocks.size();
+  for (const sim::FusedBlock& b : blocks) {
     switch (b.kernel_class) {
       case sim::KernelClass::diagonal: ++f.diag_blocks; break;
       case sim::KernelClass::permutation: ++f.perm_blocks; break;
       case sim::KernelClass::dense: ++f.dense_blocks; break;
     }
   }
-  f.fusion_ratio = plan.fusion_ratio();
+  f.fusion_ratio = blocks.empty() ? 0.0
+                                  : double(program.input_gates) /
+                                        double(blocks.size());
   return f;
 }
 

@@ -7,10 +7,10 @@
 // permutation / dense work), two-qubit connectivity, an entanglement
 // proxy (the same per-cut bond bound MpsEngine::memory_estimate uses),
 // and the Clifford fraction (decision diagrams thrive on stabilizer-ish
-// structure). Extraction is one pass over the instruction list plus one
-// fusion plan, which a caller that already holds one (serve admission,
-// route::plan) passes in; everything downstream (route/cost.hpp) is
-// arithmetic on this struct.
+// structure). Extraction is one pass over a compiled sim::Program: its
+// circuit's instruction list and its blocks, which the caller compiled
+// (serve admission, route::plan); everything downstream
+// (route/cost.hpp) is arithmetic on this struct.
 #pragma once
 
 #include <cstdint>
@@ -18,7 +18,7 @@
 
 #include "qgear/obs/json.hpp"
 #include "qgear/qiskit/circuit.hpp"
-#include "qgear/sim/fusion.hpp"
+#include "qgear/sim/program.hpp"
 
 namespace qgear::route {
 
@@ -64,15 +64,11 @@ struct CircuitFeatures {
   obs::JsonValue to_json() const;
 };
 
-/// Extracts features from `qc` (callers transpile first; route::plan
-/// does), taking the block mix from `plan`, a fusion plan of `qc` the
-/// caller already holds.
-CircuitFeatures extract_features(const qiskit::QuantumCircuit& qc,
-                                 const sim::FusionPlan& plan);
-
-/// Plans `qc` at `fusion` and extracts its features from that plan.
-CircuitFeatures extract_features(const qiskit::QuantumCircuit& qc,
-                                 const sim::FusionOptions& fusion = {});
+/// Extracts features from `program`: the structure of the circuit it
+/// was compiled from (callers transpile before compiling; route::plan
+/// does) and the mix of its one-device blocks (none when it compiled
+/// nothing).
+CircuitFeatures extract_features(const sim::Program& program);
 
 /// True for gates in the Clifford group (parameter-free subset; rotations
 /// are classified non-Clifford regardless of angle).

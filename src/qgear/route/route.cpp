@@ -71,21 +71,17 @@ Placement plan(const qiskit::QuantumCircuit& qc, const Budget& budget,
 
   Placement out;
   const qiskit::QuantumCircuit tqc = qiskit::transpile(qc);
-  // One fusion plan per distinct width: the base width's gives the
-  // features, and each width's block count prices its fused candidates
-  // at every ISA and precision.
-  const auto plan_at = [&](unsigned width) {
-    sim::FusionOptions fo = opts.base.fusion;
-    fo.max_width = width;
-    return sim::plan_fusion(tqc, fo);
-  };
-  out.features = extract_features(tqc, plan_at(opts.base.fusion.max_width));
+  // One program per distinct width: the base width's gives the features,
+  // and each width's block count prices its fused candidates at every
+  // precision.
+  out.features =
+      extract_features(sim::compile(tqc, opts.base.fusion.max_width));
   const CircuitFeatures& f = out.features;
   std::map<unsigned, std::uint64_t> width_sweeps = {
       {opts.base.fusion.max_width, f.fused_blocks}};
   for (unsigned w : opts.fusion_widths) {
     if (!width_sweeps.contains(w)) {
-      width_sweeps[w] = plan_at(w).blocks.size();
+      width_sweeps[w] = sim::compile(tqc, w).blocks().size();
     }
   }
 

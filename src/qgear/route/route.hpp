@@ -69,7 +69,7 @@ struct RouteOptions {
   sim::BackendOptions base;          ///< engine knobs candidates inherit
   std::vector<unsigned> fusion_widths = {3, 5, 7};
   /// Consider the distributed backend (off by default: single-process
-  /// dist replay never beats local fused; serve shards opt in).
+  /// dist never beats local fused; serve shards opt in).
   bool include_dist = false;
   /// Backends to drop from the candidate space. Serve's degradation path
   /// re-plans with every backend that already failed a job excluded, so

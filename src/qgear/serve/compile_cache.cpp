@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "qgear/obs/metrics.hpp"
-#include "qgear/qiskit/transpile.hpp"
 
 namespace qgear::serve {
 
@@ -39,33 +38,9 @@ obs::Gauge& entries_gauge() {
 
 }  // namespace
 
-std::uint64_t compiled_footprint_bytes(const CompiledCircuit& cc) {
-  std::uint64_t bytes = sizeof(CompiledCircuit);
-  bytes += cc.transpiled.size() * sizeof(qiskit::Instruction);
-  for (const sim::FusedBlock& b : cc.plan.blocks) {
-    bytes += (b.matrix.size() + b.diag.size() + b.phases.size()) *
-             sizeof(std::complex<double>);
-    bytes += b.perm.size() * sizeof(std::uint32_t);
-    bytes += b.qubits.size() * sizeof(unsigned);
-    bytes += sizeof(sim::FusedBlock);
-  }
-  bytes += cc.plan.measured.size() * sizeof(unsigned);
-  return bytes;
-}
-
-std::shared_ptr<const CompiledCircuit> compile_circuit(
-    const qiskit::QuantumCircuit& qc, const sim::FusionOptions& fusion) {
-  auto cc = std::make_shared<CompiledCircuit>();
-  cc->transpiled = qiskit::transpile(qc);
-  cc->plan = sim::plan_fusion(cc->transpiled, fusion);
-  cc->num_qubits = qc.num_qubits();
-  cc->byte_size = compiled_footprint_bytes(*cc);
-  return cc;
-}
-
 CompilationCache::CompilationCache(Options opts) : opts_(opts) {}
 
-std::shared_ptr<const CompiledCircuit> CompilationCache::get_or_compile(
+std::shared_ptr<const sim::Program> CompilationCache::get_or_compile(
     std::uint64_t key, const Compiler& compile, bool* cache_hit) {
   if (cache_hit != nullptr) *cache_hit = false;
   if (!opts_.enabled) {
@@ -98,7 +73,7 @@ std::shared_ptr<const CompiledCircuit> CompilationCache::get_or_compile(
   entries_.emplace(key, Entry{});  // claims the key (compiling == true)
   lock.unlock();
 
-  std::shared_ptr<const CompiledCircuit> value;
+  std::shared_ptr<const sim::Program> value;
   try {
     value = compile();
   } catch (...) {
@@ -114,7 +89,7 @@ std::shared_ptr<const CompiledCircuit> CompilationCache::get_or_compile(
   entry.compiling = false;
   lru_.push_front(key);
   entry.lru_it = lru_.begin();
-  stats_.bytes += value->byte_size;
+  stats_.bytes += value->footprint_bytes();
   stats_.entries = lru_.size();
   evict_over_budget_locked();
   bytes_gauge().set(static_cast<double>(stats_.bytes));
@@ -130,7 +105,7 @@ void CompilationCache::evict_over_budget_locked() {
     const std::uint64_t victim = lru_.back();
     lru_.pop_back();
     auto it = entries_.find(victim);
-    stats_.bytes -= it->second.value->byte_size;
+    stats_.bytes -= it->second.value->footprint_bytes();
     entries_.erase(it);
     ++stats_.evictions;
     evictions_counter().add();

@@ -1,14 +1,14 @@
-// Compilation cache: circuit fingerprint -> compiled plan, with LRU
-// eviction and single-flight deduplication.
+// Compilation cache: circuit fingerprint -> compiled sim::Program, with
+// LRU eviction and single-flight deduplication.
 //
-// Compilation (basis transpile + fusion planning) is the reusable
-// artifact of repeated circuit traffic — it depends only on circuit
-// content, never on the submitting tenant or the state vector.
-// The cache keys on qiskit::circuit_fingerprint, bounds resident bytes
-// with LRU eviction, and deduplicates concurrent compilations of the same
-// key: the first requester compiles, later requesters block until the
-// entry is ready (single flight), so a burst of N identical submissions
-// costs one compile instead of N.
+// Compilation (basis transpile + sim::compile) is the reusable artifact
+// of repeated circuit traffic — it depends only on circuit content,
+// never on the submitting tenant or the state vector. The cache keys on
+// qiskit::circuit_fingerprint, bounds resident bytes
+// (Program::footprint_bytes) with LRU eviction, and deduplicates
+// concurrent compilations of the same key: the first requester compiles,
+// later requesters block until the entry is ready (single flight), so a
+// burst of N identical submissions costs one compile instead of N.
 //
 // Thread-safe. Values are immutable and shared_ptr-held, so an entry may
 // be evicted while executions still reference it.
@@ -22,28 +22,9 @@
 #include <condition_variable>
 #include <unordered_map>
 
-#include "qgear/qiskit/circuit.hpp"
-#include "qgear/sim/fusion.hpp"
+#include "qgear/sim/program.hpp"
 
 namespace qgear::serve {
-
-/// The immutable compile artifact: everything execution needs that does
-/// not depend on the run (the basis-transpiled circuit, which prices the
-/// job, and the fusion plan the engine executes).
-struct CompiledCircuit {
-  qiskit::QuantumCircuit transpiled{1};
-  sim::FusionPlan plan;
-  unsigned num_qubits = 1;
-  std::uint64_t byte_size = 0;  ///< resident footprint charged to the cache
-};
-
-/// Estimated resident bytes of a compiled circuit (plan matrices +
-/// instruction stream).
-std::uint64_t compiled_footprint_bytes(const CompiledCircuit& cc);
-
-/// Compiles `qc` with `fusion` options into a cacheable artifact.
-std::shared_ptr<const CompiledCircuit> compile_circuit(
-    const qiskit::QuantumCircuit& qc, const sim::FusionOptions& fusion);
 
 class CompilationCache {
  public:
@@ -67,19 +48,18 @@ class CompilationCache {
     }
   };
 
-  using Compiler =
-      std::function<std::shared_ptr<const CompiledCircuit>()>;
+  using Compiler = std::function<std::shared_ptr<const sim::Program>()>;
 
   CompilationCache() : CompilationCache(Options{}) {}
   explicit CompilationCache(Options opts);
 
-  /// Returns the cached artifact for `key`, compiling via `compile` on a
+  /// Returns the cached program for `key`, compiling via `compile` on a
   /// miss. Concurrent callers with the same key compile once (single
   /// flight); if the compile throws, waiters retry (one of them becomes
   /// the new compiler) and the exception propagates to the thrower.
   /// With the cache disabled this is a pass-through call to `compile`.
   /// `cache_hit` (optional) reports whether the value came from cache.
-  std::shared_ptr<const CompiledCircuit> get_or_compile(
+  std::shared_ptr<const sim::Program> get_or_compile(
       std::uint64_t key, const Compiler& compile, bool* cache_hit = nullptr);
 
   Stats stats() const;
@@ -91,9 +71,9 @@ class CompilationCache {
 
  private:
   struct Entry {
-    std::shared_ptr<const CompiledCircuit> value;  // null while compiling
+    std::shared_ptr<const sim::Program> value;  // null while compiling
     bool compiling = true;
-    std::list<std::uint64_t>::iterator lru_it{};   // valid once ready
+    std::list<std::uint64_t>::iterator lru_it{};  // valid once ready
   };
 
   void evict_over_budget_locked();

@@ -19,11 +19,10 @@
 
 #include "qgear/obs/context.hpp"
 #include "qgear/qiskit/circuit.hpp"
+#include "qgear/sim/program.hpp"
 #include "qgear/sim/stats.hpp"
 
 namespace qgear::serve {
-
-struct CompiledCircuit;
 
 /// Scheduling class. Lower value = more urgent; the scheduler always
 /// exhausts a class before looking at the next (fair share applies only
@@ -106,7 +105,7 @@ struct JobResult {
   std::string error;        ///< non-empty when status == failed
   bool cache_hit = false;   ///< compilation served from cache
   double queue_wait_s = 0;  ///< submit -> dequeued by a worker
-  double compile_s = 0;     ///< transpile + fusion planning, in submit
+  double compile_s = 0;     ///< transpile + sim::compile, in submit
                             ///< (near 0 on a hit)
   double execute_s = 0;     ///< amplitude sweeps
   double e2e_s = 0;         ///< submit -> terminal
@@ -143,14 +142,14 @@ struct JobState {
   std::uint64_t mem_bytes = 0;    ///< backend memory_estimate at submit
   double est_seconds = 0;         ///< cost-model time estimate at submit
   double cost = 1.0;  ///< fair-share charge (estimated execute seconds)
-  /// A fused job's compiled plan, fetched through the compilation cache
-  /// at admission (or by the worker, for a job degraded onto the fused
-  /// path later). The worker runs it; the job drops it when it reaches a
-  /// terminal state, because tickets outlive jobs and the cache's byte
-  /// bound must keep bounding the plans held in memory.
-  std::shared_ptr<const CompiledCircuit> compiled;
-  bool cache_hit = false;  ///< `compiled` came from the cache
-  double compile_s = 0;    ///< time fetching or compiling `compiled`
+  /// A fused job's compiled program, fetched through the compilation
+  /// cache at admission (or by the worker, for a job degraded onto the
+  /// fused path later). The worker runs it; the job drops it when it
+  /// reaches a terminal state, because tickets outlive jobs and the
+  /// cache's byte bound must keep bounding the programs held in memory.
+  std::shared_ptr<const sim::Program> program;
+  bool cache_hit = false;  ///< `program` came from the cache
+  double compile_s = 0;    ///< time fetching or compiling `program`
   Clock::time_point submit_time{};
   Clock::time_point last_enqueue{};  ///< submit, or the latest retry requeue
   Clock::time_point deadline{};      ///< zero when no queue deadline

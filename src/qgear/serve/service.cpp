@@ -19,6 +19,7 @@
 #include "qgear/obs/trace.hpp"
 #include "qgear/qh5/file.hpp"
 #include "qgear/qiskit/fingerprint.hpp"
+#include "qgear/qiskit/transpile.hpp"
 #include "qgear/sim/fused.hpp"
 #include "qgear/sim/state.hpp"
 
@@ -219,8 +220,9 @@ JobTicket SimService::submit(JobSpec spec) {
   } else {
     QGEAR_CHECK_ARG(sim::Backend::is_registered(state->backend),
                     "serve: unknown backend '" + state->backend + "'");
-    // The dist backend replays its circuit only on sample or expectation,
-    // which a job never calls: its job would complete without running.
+    // The dist backend runs its circuit at the first sample or
+    // expectation, which a job never calls: its job would complete
+    // without running.
     QGEAR_CHECK_ARG(state->backend != "dist",
                     "serve: the dist backend cannot run jobs");
     // Resolve precision: an explicit JobSpec ask wins on the statevector
@@ -252,19 +254,21 @@ JobTicket SimService::submit(JobSpec spec) {
       return JobTicket(RejectReason::memory_budget);
     }
     if (state->backend == "fused") {
-      // Compiled once here, through the cache: the plan the worker will
-      // run is also the one the job is priced from.
+      // Compiled once here, through the cache: the program the worker
+      // will run is also the one the job is priced from.
       compile(*state);
-      const CompiledCircuit& cc = *state->compiled;
       state->est_seconds =
           route::time_estimate_for(state->backend, state->precision,
-                                   cc.transpiled, cc.plan, opts_.calibration,
-                                   bo)
+                                   *state->program, opts_.calibration, bo)
               .seconds;
     } else {
+      // Reference, dd and mps prices read only the circuit, so the job
+      // is priced from a program that compiled nothing.
+      sim::Program uncompiled;
+      uncompiled.circuit = state->spec.circuit;
       state->est_seconds =
           route::time_estimate_for(state->backend, state->precision,
-                                   state->spec.circuit, opts_.calibration, bo)
+                                   uncompiled, opts_.calibration, bo)
               .seconds;
     }
   }
@@ -312,9 +316,12 @@ void SimService::worker_loop() {
 void SimService::compile(JobState& job) {
   WallTimer timer;
   obs::Span span(obs::Tracer::global(), "serve.compile", "serve");
-  job.compiled = cache_.get_or_compile(
+  job.program = cache_.get_or_compile(
       job.fingerprint,
-      [&] { return compile_circuit(job.spec.circuit, opts_.fusion); },
+      [&] {
+        return std::make_shared<const sim::Program>(sim::compile(
+            qiskit::transpile(job.spec.circuit), opts_.fusion.max_width));
+      },
       &job.cache_hit);
   job.compile_s = timer.seconds();
   if (span.active()) span.arg("cache_hit", job.cache_hit ? "true" : "false");
@@ -332,7 +339,7 @@ void SimService::finish(JobState& job, JobResult&& result) {
     result.fallback_chain.push_back(job.backend);
   }
   remove_checkpoint(job);
-  job.compiled.reset();
+  job.program.reset();
   status_counter(result.status).add();
   queue_wait_hist().observe(result.queue_wait_s * 1e6);
   e2e_hist().observe(result.e2e_s * 1e6);
@@ -397,7 +404,7 @@ bool SimService::process(FairScheduler::Popped popped) {
     fault::maybe_throw(fault::Site::serve_worker, "serve worker");
 
     // Non-statevector backends bypass the fused-block compile cache
-    // (their execution is not plan-shaped) and run through sim::Backend
+    // (their execution is not program-shaped) and run through sim::Backend
     // with the same cooperative cancellation granularity.
     if (job.backend != "fused") {
       WallTimer exec_timer;
@@ -415,8 +422,8 @@ bool SimService::process(FairScheduler::Popped popped) {
     }
 
     // Admission compiled the job; only one degraded onto the fused path
-    // since then has no plan yet.
-    if (!job.compiled) compile(job);
+    // since then has no program yet.
+    if (!job.program) compile(job);
     result.cache_hit = job.cache_hit;
     result.compile_s = job.compile_s;
 
@@ -434,8 +441,8 @@ bool SimService::process(FairScheduler::Popped popped) {
     WallTimer exec_timer;
     const bool ran_to_completion =
         job.precision == "fp64"
-            ? execute_plan<double>(job, *job.compiled, &result)
-            : execute_plan<float>(job, *job.compiled, &result);
+            ? execute_program<double>(job, *job.program, &result)
+            : execute_program<float>(job, *job.program, &result);
     result.execute_s = exec_timer.seconds();
     if (ran_to_completion) {
       result.status = JobStatus::completed;
@@ -460,10 +467,10 @@ bool SimService::process(FairScheduler::Popped popped) {
 }
 
 template <typename T>
-bool SimService::execute_plan(JobState& job, const CompiledCircuit& compiled,
-                              JobResult* result) {
-  sim::StateVector<T> state(compiled.num_qubits);
-  const std::span<const sim::FusedBlock> blocks(compiled.plan.blocks);
+bool SimService::execute_program(JobState& job, const sim::Program& program,
+                                 JobResult* result) {
+  sim::StateVector<T> state(program.num_qubits);
+  const std::span<const sim::FusedBlock> blocks = program.blocks();
   // A retried attempt resumes from the last segment checkpoint instead of
   // recomputing every block it already swept.
   std::size_t start = 0;
@@ -613,7 +620,7 @@ route::Placement SimService::place(const JobState& job) const {
 }
 
 void SimService::sync_checkpoint_path(JobState& job) {
-  // Segment checkpointing applies to the fused (plan-shaped) path only;
+  // Segment checkpointing applies to the fused (program-shaped) path only;
   // other engines have no state snapshot at a block boundary.
   const bool wanted = opts_.checkpoint_every > 0 && job.backend == "fused";
   if (wanted == !job.checkpoint_path.empty()) return;

@@ -3,17 +3,18 @@
 // Sits above the existing engines and turns them into a server:
 //
 //   submit(JobSpec) ── admission control; a fused job compiles here
-//     through the CompilationCache (fingerprint-keyed, single-flight) and
-//     is priced from that plan ──> FairScheduler (bounded, priority +
-//     weighted fair share, deadlines) ──> worker pool (ThreadPool jobs)
-//     ──> fused-block execution of the job's plan, with cooperative
-//     cancellation/timeout checks between blocks ──> JobResult promise.
+//     through the CompilationCache (fingerprint-keyed, single-flight)
+//     into a sim::Program and is priced from it ──> FairScheduler
+//     (bounded, priority + weighted fair share, deadlines) ──> worker
+//     pool (ThreadPool jobs) ──> fused-block execution of the job's
+//     program, with cooperative cancellation/timeout checks between
+//     blocks ──> JobResult promise.
 //
-// Each distinct circuit is planned once: admission's compile feeds both
+// Each distinct circuit is compiled once: admission's compile feeds both
 // the price and the worker. Admission compiles run on the submitting
-// threads. Jobs on the other backends are priced without a plan; a dist
-// job is refused at submit, since dist runs nothing until a sample or
-// expectation call, which a job never makes.
+// threads. Jobs on the other backends are priced without compiling; a
+// dist job is refused at submit, since dist runs its circuit at the
+// first sample or expectation call, which a job never makes.
 //
 // Execution runs each job single-threaded (inter-job parallelism across
 // the worker pool instead of intra-job sweeps), which is the right trade
@@ -153,12 +154,13 @@ class SimService {
   /// released by push_retry/on_deferred_dropped, not on_finished).
   bool process(FairScheduler::Popped popped);
   template <typename T>
-  bool execute_plan(JobState& job, const CompiledCircuit& compiled,
-                    JobResult* result);
+  bool execute_program(JobState& job, const sim::Program& program,
+                       JobResult* result);
   bool execute_backend(JobState& job, sim::EngineStats* stats);
   void finish(JobState& job, JobResult&& result);
-  /// Fetches a fused job's plan through the compilation cache (compiling
-  /// on a miss) into job.compiled, with its cache_hit and compile_s.
+  /// Fetches a fused job's program through the compilation cache
+  /// (compiling on a miss) into job.program, with its cache_hit and
+  /// compile_s.
   void compile(JobState& job);
   sim::BackendOptions backend_options() const;
 

@@ -3,8 +3,10 @@
 // One API over genuinely different simulation paradigms: dense
 // statevector (reference, fused), decision diagram (dd), matrix product
 // state (mps), and — when qgear_dist registers it — the distributed
-// statevector (dist). dist replays its accumulated circuit on each
-// sample or expectation call; its apply_circuit alone runs nothing.
+// statevector (dist). dist runs its accumulated circuit once, at the
+// first sample or expectation call after the last init_state or
+// apply_circuit, and answers both from the state it gathers, so it
+// serves them up to 28 qubits; its apply_circuit alone runs nothing.
 // Callers pick an engine per workload instead of being welded to the 2^n
 // statevector wall:
 //

@@ -1,10 +1,10 @@
 // Fused state-vector engine — the "Cuda-Q on GPU" analogue.
 //
-// Executes a FusionPlan: one blocked amplitude sweep per fused unitary,
-// with diagonal blocks taking a multiply-only fast path and sweeps
-// parallelized over a thread pool (the SM/warp stand-in). Combined with
-// the memory-bandwidth term in perfmodel/, this reproduces the mechanism
-// behind the paper's GPU speedups.
+// Runs a one-device sim::Program (sim::compile): one blocked amplitude
+// sweep per fused unitary, with diagonal blocks taking a multiply-only
+// fast path and sweeps parallelized over a thread pool (the SM/warp
+// stand-in). Combined with the memory-bandwidth term in perfmodel/,
+// this reproduces the mechanism behind the paper's GPU speedups.
 #pragma once
 
 #include <functional>
@@ -17,6 +17,7 @@
 #include "qgear/qiskit/circuit.hpp"
 #include "qgear/sim/fusion.hpp"
 #include "qgear/sim/kernels.hpp"
+#include "qgear/sim/program.hpp"
 #include "qgear/sim/state.hpp"
 #include "qgear/sim/stats.hpp"
 
@@ -95,30 +96,29 @@ class FusedEngine {
 
   explicit FusedEngine(Options opts = {}) : opts_(opts) {}
 
-  /// Plans fusion for `qc` and applies the blocks to `state`.
-  /// Measured qubits are appended to `measured` (if provided).
+  /// Compiles `qc` (sim::compile at the engine's fusion width) and runs
+  /// it on `state`. Measured qubits are appended to `measured` (if
+  /// provided).
   void apply(const qiskit::QuantumCircuit& qc, StateVector<T>& state,
              std::vector<unsigned>* measured = nullptr) {
-    QGEAR_CHECK_ARG(qc.num_qubits() == state.num_qubits(),
-                    "engine: circuit and state qubit counts differ");
-    const FusionPlan plan = plan_fusion(qc, opts_.fusion);
-    apply_plan(plan, state);
-    if (measured != nullptr) {
-      measured->insert(measured->end(), plan.measured.begin(),
-                       plan.measured.end());
-    }
+    apply(compile(qc, opts_.fusion.max_width), state, measured);
   }
 
-  /// Applies a pre-computed plan (lets callers amortize planning).
-  void apply_plan(const FusionPlan& plan, StateVector<T>& state) {
+  /// Runs a one-device program's blocks on `state` (lets callers compile
+  /// once and run many times).
+  void apply(const Program& program, StateVector<T>& state,
+             std::vector<unsigned>* measured = nullptr) {
+    QGEAR_CHECK_ARG(program.num_qubits == state.num_qubits(),
+                    "engine: circuit and state qubit counts differ");
+    const std::span<const FusedBlock> blocks = program.blocks();
     obs::Span sweep_span(obs::Tracer::global(), "sweep", "sim");
     // Hardware counters (when obs::PerfCounters::set_enabled) cover the
     // whole sweep loop; the sample folds into stats_.perf on scope exit.
     obs::PerfScope perf_scope(&stats_.perf);
     const EngineStats before = stats_;
     WallTimer timer;
-    run_fused_blocks<T>(state.data(), state.num_qubits(), plan.blocks,
-                        opts_.pool, stats_);
+    run_fused_blocks<T>(state.data(), state.num_qubits(), blocks, opts_.pool,
+                        stats_);
     stats_.seconds += timer.seconds();
 
     auto& reg = obs::Registry::global();
@@ -134,8 +134,12 @@ class FusedEngine {
                                         before.dense_blocks);
     reg.counter("sim.amp_ops").add(stats_.amp_ops - before.amp_ops);
     if (sweep_span.active()) {
-      sweep_span.arg("blocks", std::uint64_t{plan.blocks.size()});
+      sweep_span.arg("blocks", std::uint64_t{blocks.size()});
       sweep_span.arg("qubits", std::uint64_t{state.num_qubits()});
+    }
+    if (measured != nullptr) {
+      measured->insert(measured->end(), program.measured.begin(),
+                       program.measured.end());
     }
   }
 

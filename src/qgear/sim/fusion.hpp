@@ -57,12 +57,6 @@ struct FusionPlan {
   std::vector<FusedBlock> blocks;
   std::vector<unsigned> measured;  ///< measure targets in program order
   std::uint64_t input_gates = 0;   ///< unitary gate count before fusion
-
-  double fusion_ratio() const {
-    return blocks.empty() ? 0.0
-                          : static_cast<double>(input_gates) /
-                                static_cast<double>(blocks.size());
-  }
 };
 
 struct FusionOptions {

@@ -10,6 +10,8 @@
 #include <vector>
 
 #include "qgear/common/rng.hpp"
+#include "qgear/dist/dist_backend.hpp"
+#include "qgear/obs/metrics.hpp"
 #include "qgear/qiskit/circuit.hpp"
 #include "qgear/sim/backend.hpp"
 #include "qgear/sim/dd.hpp"
@@ -119,7 +121,8 @@ TEST(BackendEquivalence, MpsMatchesReferenceOnLowEntanglement16Q) {
 TEST(BackendEquivalence, AllBackendsAgreeOnUniversalRandom12Q) {
   // Universal gate set (rotations + cp + extras) at a size every engine
   // can represent exactly. Compare through the Backend interface, the
-  // same way serve and the CLI drive the engines.
+  // same way serve and the CLI drive the engines; dist is registered
+  // first, as the CLI does.
   const auto qc = sim_test::random_circuit(12, 80, 777);
   const std::vector<std::string> paulis = {"Z", "ZIIIIIZ", "XX",
                                            "ZZZZZZZZZZZZ"};
@@ -130,15 +133,22 @@ TEST(BackendEquivalence, AllBackendsAgreeOnUniversalRandom12Q) {
     engine.apply(qc, state);
     want.push_back(expectation(state, PauliTerm::parse(p)));
   }
-  for (const char* name : {"fused", "dd", "mps"}) {
+  dist::register_dist_backend();
+  obs::Counter& dist_runs = obs::Registry::global().counter("dist.runs");
+  for (const char* name : {"fused", "dd", "mps", "dist"}) {
     auto be = Backend::create(name);
     be->init_state(12);
     be->apply_circuit(qc);
+    const std::uint64_t runs_before = dist_runs.value();
     for (std::size_t i = 0; i < paulis.size(); ++i) {
       EXPECT_NEAR(be->expectation(PauliTerm::parse(paulis[i])), want[i],
                   1e-6)
           << name << " " << paulis[i];
     }
+    // dist runs the circuit once and answers every read from its state.
+    EXPECT_EQ(dist_runs.value() - runs_before,
+              std::string(name) == "dist" ? 1u : 0u)
+        << name;
   }
 }
 

@@ -54,11 +54,11 @@ std::vector<amp_t> run_exchange(
 /// The exchange's analytic meaning on the full state: new[i] = old[i with
 /// every swapped bit pair exchanged].
 std::vector<amp_t> permute_full_state(const std::vector<amp_t>& full,
-                                      std::span<const SlabSwap> swaps) {
+                                      std::span<const sim::SlabSwap> swaps) {
   std::vector<amp_t> out(full.size());
   for (std::uint64_t i = 0; i < full.size(); ++i) {
     std::uint64_t src = i;
-    for (const SlabSwap& sw : swaps) {
+    for (const sim::SlabSwap& sw : swaps) {
       const bool bl = test_bit(i, sw.local_phys);
       const bool bg = test_bit(i, sw.global_phys);
       if (bl != bg) {
@@ -76,7 +76,7 @@ TEST(DistExchange, BatchedMatchesAnalyticPermutation) {
   struct Case {
     int ranks;
     unsigned qubits;
-    std::vector<SlabSwap> swaps;
+    std::vector<sim::SlabSwap> swaps;
   };
   const std::vector<Case> cases = {
       {2, 5, {{1, 4}}},
@@ -103,7 +103,7 @@ TEST(DistExchange, BatchedMatchesAnalyticPermutation) {
 TEST(DistExchange, BatchedMatchesSequentialSingleSwaps) {
   // One k-wide batch must equal the same pairs applied one at a time (the
   // pre-batching schedule), in any order: disjoint bit swaps commute.
-  const std::vector<SlabSwap> swaps = {{0, 6}, {2, 4}, {1, 5}};
+  const std::vector<sim::SlabSwap> swaps = {{0, 6}, {2, 4}, {1, 5}};
   const std::vector<amp_t> batched =
       run_exchange(8, 7, 2, [&](DistStateVector<double>& st) {
         st.exchange_index_bit_swap(swaps, 11);
@@ -111,7 +111,7 @@ TEST(DistExchange, BatchedMatchesSequentialSingleSwaps) {
   const std::vector<amp_t> sequential =
       run_exchange(8, 7, 2, [&](DistStateVector<double>& st) {
         int tag = 11;
-        for (const SlabSwap& sw : swaps) {
+        for (const sim::SlabSwap& sw : swaps) {
           st.exchange_index_bit_swap({&sw, 1}, tag++);
         }
       });
@@ -124,8 +124,8 @@ TEST(DistExchange, BatchedMatchesSequentialSingleSwaps) {
 TEST(DistExchange, RepeatedAndOverlappingBatchesCompose) {
   // Two batches that reuse each other's slots/bits: the second batch
   // swaps a bit pair the first one just moved.
-  const std::vector<SlabSwap> first = {{0, 4}, {1, 5}};
-  const std::vector<SlabSwap> second = {{1, 4}, {0, 5}};
+  const std::vector<sim::SlabSwap> first = {{0, 4}, {1, 5}};
+  const std::vector<sim::SlabSwap> second = {{1, 4}, {0, 5}};
   const std::vector<amp_t> before =
       run_exchange(4, 6, 3, [](DistStateVector<double>&) {});
   const std::vector<amp_t> got =
@@ -151,7 +151,7 @@ TEST(DistExchange, TierBytesSplitByTopology) {
     std::uint64_t nvlink = 0;
     std::uint64_t internode = 0;
   };
-  const auto run_one = [&](const std::vector<SlabSwap>& swaps) {
+  const auto run_one = [&](const std::vector<sim::SlabSwap>& swaps) {
     Got got;
     std::mutex mu;
     comm::World world(4);
@@ -219,7 +219,7 @@ TEST(DistExchange, ResilientBatchSurvivesDropAndDelayFaults) {
   plan.site(fault::Site::comm_delay).delay_us = 200;
   fault::ArmScope arm(plan);
 
-  const std::vector<SlabSwap> swaps = {{0, 6}, {1, 7}};
+  const std::vector<sim::SlabSwap> swaps = {{0, 6}, {1, 7}};
   comm::ResilienceOptions res;
   res.timeout_s = 0.02;
   res.max_resends = 50;
@@ -244,22 +244,22 @@ TEST(DistExchange, RejectsMalformedBatches) {
     DistStateVector<double> state(6, c);
     // Duplicate local bit.
     EXPECT_THROW(state.exchange_index_bit_swap(
-                     std::vector<SlabSwap>{{0, 4}, {0, 5}}, 3),
+                     std::vector<sim::SlabSwap>{{0, 4}, {0, 5}}, 3),
                  InvalidArgument);
     // Duplicate global bit.
     EXPECT_THROW(state.exchange_index_bit_swap(
-                     std::vector<SlabSwap>{{0, 4}, {1, 4}}, 3),
+                     std::vector<sim::SlabSwap>{{0, 4}, {1, 4}}, 3),
                  InvalidArgument);
     // Local slot out of range / global bit not global.
     EXPECT_THROW(state.exchange_index_bit_swap(
-                     std::vector<SlabSwap>{{4, 5}}, 3),
+                     std::vector<sim::SlabSwap>{{4, 5}}, 3),
                  InvalidArgument);
     EXPECT_THROW(state.exchange_index_bit_swap(
-                     std::vector<SlabSwap>{{0, 3}}, 3),
+                     std::vector<sim::SlabSwap>{{0, 3}}, 3),
                  InvalidArgument);
     // Empty batch.
     EXPECT_THROW(
-        state.exchange_index_bit_swap(std::span<const SlabSwap>{}, 3),
+        state.exchange_index_bit_swap(std::span<const sim::SlabSwap>{}, 3),
         InvalidArgument);
     c.barrier();
   });

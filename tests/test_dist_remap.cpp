@@ -80,6 +80,63 @@ TEST(RemapPlan, Qft24At16RanksHalvesExchangeBytes) {
             2 * plan_exchange_bytes_total(plan, fp32));
 }
 
+TEST(RemapCompile, ProgramFollowsThePlan) {
+  // dist::compile emits one program segment per plan segment: its swaps
+  // as a checked batch, its runs of local unitaries fused at
+  // min(width, num_local), and every other instruction a step of its own.
+  qiskit::QuantumCircuit qc = sim_test::random_circuit(6, 150, 91);
+  qc.barrier();
+  qc.h(5).measure(2).measure(5);
+  const RemapPlan plan = plan_remap(qc, 4);
+  const sim::Program program = compile(qc, 3, 4);
+  EXPECT_EQ(program.num_qubits, 6u);
+  EXPECT_EQ(program.num_local, 4u);
+  EXPECT_EQ(program.slab_swaps, plan.slab_swaps);
+  EXPECT_GT(program.slab_swaps, 0u);
+  EXPECT_EQ(program.elided_swap_gates, plan.elided_swap_gates);
+  EXPECT_EQ(program.logical_to_physical, plan.logical_to_physical);
+  EXPECT_EQ(program.measured, (std::vector<unsigned>{2, 5}));
+  EXPECT_EQ(program.input_gates, 151u);
+  ASSERT_EQ(program.segments.size(), plan.segments.size());
+  for (std::size_t i = 0; i < plan.segments.size(); ++i) {
+    SCOPED_TRACE("segment " + std::to_string(i));
+    const RemapSegment& want = plan.segments[i];
+    const sim::Segment& got = program.segments[i];
+    if (want.swaps.empty()) {
+      EXPECT_TRUE(got.batch.swaps.empty());
+    } else {
+      EXPECT_EQ(got.batch.swaps,
+                sim::compile_swap_batch(want.swaps, 6, 4).swaps);
+    }
+    std::uint64_t want_fused = 0;
+    std::vector<qiskit::Instruction> want_lone;
+    for (const qiskit::Instruction& inst : want.insts) {
+      const qiskit::GateInfo& info = qiskit::gate_info(inst.kind);
+      const bool local = inst.q0 < 4 && (info.num_qubits < 2 || inst.q1 < 4);
+      if (info.unitary && local) {
+        ++want_fused;
+      } else {
+        want_lone.push_back(inst);
+      }
+    }
+    std::uint64_t fused = 0;
+    std::vector<qiskit::Instruction> lone;
+    for (const sim::Step& step : got.steps) {
+      if (step.inst) {
+        lone.push_back(*step.inst);
+        continue;
+      }
+      for (const sim::FusedBlock& b : step.blocks) {
+        fused += b.source_gates;
+        EXPECT_LE(b.qubits.size(), 3u);
+        EXPECT_LT(b.qubits.back(), 4u);
+      }
+    }
+    EXPECT_EQ(fused, want_fused);
+    EXPECT_EQ(lone, want_lone);
+  }
+}
+
 TEST(RemapExec, MatchesReferenceAcrossRankCounts) {
   for (int ranks : {1, 2, 4, 8, 16}) {
     for (std::uint64_t seed : {21u, 22u, 23u}) {

@@ -92,11 +92,11 @@ TEST(FusedEngine, MeasuredQubitsReported) {
 
 TEST(FusedEngine, ApplyPlanReuse) {
   const auto qc = sim_test::random_circuit(5, 80, 99);
-  const FusionPlan plan = plan_fusion(qc, {.max_width = 4});
+  const Program program = compile(qc, 4);
   FusedEngine<double> eng({.fusion = {.max_width = 4}});
   StateVector<double> s1(5), s2(5);
-  eng.apply_plan(plan, s1);
-  eng.apply_plan(plan, s2);
+  eng.apply(program, s1);
+  eng.apply(program, s2);
   EXPECT_LT(max_amp_diff(s1, s2), 1e-15);
   EXPECT_NEAR(s1.norm(), 1.0, 1e-10);
 }

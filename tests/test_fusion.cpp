@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "qgear/circuits/qft.hpp"
 #include "qgear/circuits/random_blocks.hpp"
 #include "qgear/common/bits.hpp"
 #include "qgear/qiskit/transpile.hpp"
 #include "qgear/sim/isa.hpp"
+#include "qgear/sim/program.hpp"
 #include "tests/sim_test_util.hpp"
 
 namespace qgear::sim {
@@ -75,6 +78,32 @@ KernelClass oracle_class(const CMat& m) {
   return KernelClass::dense;
 }
 
+// A one-device program holds exactly `plan`: one segment with no swap
+// batch, and one step with the plan's blocks, byte for byte.
+void expect_program_holds_plan(const Program& program,
+                               const FusionPlan& plan) {
+  ASSERT_EQ(program.segments.size(), 1u);
+  EXPECT_TRUE(program.segments[0].batch.swaps.empty());
+  ASSERT_EQ(program.segments[0].steps.size(), 1u);
+  EXPECT_FALSE(program.segments[0].steps[0].inst.has_value());
+  EXPECT_EQ(program.measured, plan.measured);
+  EXPECT_EQ(program.input_gates, plan.input_gates);
+  const std::vector<FusedBlock>& blocks = program.segments[0].steps[0].blocks;
+  ASSERT_EQ(blocks.size(), plan.blocks.size());
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    EXPECT_EQ(blocks[b].qubits, plan.blocks[b].qubits) << "block " << b;
+    EXPECT_EQ(blocks[b].kernel_class, plan.blocks[b].kernel_class)
+        << "block " << b;
+    ASSERT_EQ(blocks[b].matrix.size(), plan.blocks[b].matrix.size());
+    EXPECT_EQ(std::memcmp(blocks[b].matrix.data(),
+                          plan.blocks[b].matrix.data(),
+                          blocks[b].matrix.size() *
+                              sizeof(std::complex<double>)),
+              0)
+        << "block " << b;
+  }
+}
+
 TEST(Fusion, SingleGateSingleBlock) {
   qiskit::QuantumCircuit qc(2);
   qc.h(0);
@@ -113,7 +142,7 @@ TEST(Fusion, EveryGateAccounted) {
       EXPECT_LE(b.qubits.size(), std::max(width, 2u));
     }
     EXPECT_EQ(total, plan.input_gates);
-    EXPECT_GE(plan.fusion_ratio(), 1.0);
+    EXPECT_GE(plan.input_gates, plan.blocks.size());
   }
 }
 
@@ -170,19 +199,29 @@ TEST(Fusion, InvalidWidthRejected) {
 
 TEST(Fusion, BlocksEqualProductOfEmbeddedGates) {
   // Composition runs through the dispatched kernels, so every compiled
-  // ISA must build the oracle's blocks.
+  // ISA must build the oracle's blocks. sim::compile's one-device program
+  // must hold exactly those blocks.
   qiskit::QuantumCircuit mixed(6);
   mixed.h(0).cx(0, 3).cp(0.7, 3, 0).barrier();
   mixed.ry(0.4, 5).cx(5, 1).cp(-1.1, 1, 5).measure(2);
   mixed.rz(0.3, 2).cx(2, 4).h(4).cx(4, 2).measure(4);
   mixed.swap(1, 4).cp(0.2, 0, 5).rx(0.9, 3).cx(3, 0).barrier();
   mixed.cp(2.1, 4, 1).h(1).cx(1, 5).measure(0).rz(1.3, 0).cx(0, 2);
+  const qiskit::QuantumCircuit random = circuits::generate_random_circuit(
+      {.num_qubits = 12, .num_blocks = 40, .measure = true, .seed = 3});
+  qiskit::QuantumCircuit random12(12, "random12");
+  for (std::size_t i = 0; i < random.size(); ++i) {
+    if (i == random.size() / 2) random12.barrier();
+    random12.append(random.instructions()[i]);
+  }
   const std::vector<std::pair<const char*, qiskit::QuantumCircuit>> cases = {
       {"random blocks",
        circuits::generate_random_circuit(
            {.num_qubits = 8, .num_blocks = 60, .measure = true, .seed = 11})},
       {"native qft", qiskit::to_native_basis(circuits::build_qft(7))},
-      {"barriers and measures", mixed}};
+      {"barriers and measures", mixed},
+      {"qft12", circuits::build_qft(12)},
+      {"random12, measures and a barrier", random12}};
   const IsaGuard guard;
   for (const auto& [name, qc] : cases) {
     std::uint64_t gates = 0;
@@ -227,6 +266,7 @@ TEST(Fusion, BlocksEqualProductOfEmbeddedGates) {
           // shows in qh5 state bytes.
           EXPECT_EQ(negative_zeros, 0u) << "block " << b;
         }
+        expect_program_holds_plan(compile(qc, width), plan);
       }
     }
   }
@@ -236,7 +276,7 @@ TEST(Fusion, EmptyCircuitEmptyPlan) {
   qiskit::QuantumCircuit qc(3);
   const FusionPlan plan = plan_fusion(qc);
   EXPECT_TRUE(plan.blocks.empty());
-  EXPECT_EQ(plan.fusion_ratio(), 0.0);
+  EXPECT_EQ(plan.input_gates, 0u);
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include "qgear/route/features.hpp"
 #include "qgear/route/route.hpp"
 #include "qgear/sim/isa.hpp"
+#include "qgear/sim/program.hpp"
 
 namespace qgear::route {
 namespace {
@@ -29,13 +30,19 @@ qiskit::QuantumCircuit ghz(unsigned n) {
   return qc;
 }
 
+/// `qc` compiled at `base`'s fusion width, as a pricing caller holds it.
+sim::Program compiled(const qiskit::QuantumCircuit& qc,
+                      const sim::BackendOptions& base = {}) {
+  return sim::compile(qc, base.fusion.max_width);
+}
+
 std::string config_key(const CandidateConfig& cfg) {
   return cfg.backend + "/" + cfg.precision + "/" + sim::isa_name(cfg.isa) +
          "/" + std::to_string(cfg.fusion_width);
 }
 
 TEST(RouteFeatures, GhzChainIsCliffordWithUnitBond) {
-  const CircuitFeatures f = extract_features(ghz(16));
+  const CircuitFeatures f = extract_features(compiled(ghz(16)));
   EXPECT_EQ(f.num_qubits, 16u);
   EXPECT_EQ(f.unitary_gates, 16u);
   EXPECT_EQ(f.two_qubit_gates, 15u);
@@ -50,7 +57,8 @@ TEST(RouteFeatures, GhzChainIsCliffordWithUnitBond) {
 }
 
 TEST(RouteFeatures, QftIsRotationHeavyWithLongRangePairs) {
-  const CircuitFeatures f = extract_features(circuits::build_qft(10, {}));
+  const CircuitFeatures f =
+      extract_features(compiled(circuits::build_qft(10, {})));
   EXPECT_GT(f.rotation_fraction, f.clifford_fraction);
   EXPECT_GE(f.max_interaction_distance, 5u);
   // Non-adjacent controlled-phases inflate the swap-routed 2q count.
@@ -77,9 +85,9 @@ TEST(RouteCost, IsaSpeedFactorsRankTiers) {
 TEST(RouteCost, StatevectorTimeGrowsWithRegisterSize) {
   Calibration calib;  // built-in constants, no measured table
   const TimeEstimate small =
-      time_estimate_for("fused", "fp64", ghz(10), calib, {});
+      time_estimate_for("fused", "fp64", compiled(ghz(10)), calib, {});
   const TimeEstimate large =
-      time_estimate_for("fused", "fp64", ghz(20), calib, {});
+      time_estimate_for("fused", "fp64", compiled(ghz(20)), calib, {});
   ASSERT_TRUE(small.supported);
   ASSERT_TRUE(large.supported);
   EXPECT_GT(large.seconds, small.seconds);
@@ -90,19 +98,19 @@ TEST(RouteCost, CompactEnginesRefuseFp32) {
   Calibration calib;
   for (const char* be : {"dd", "mps"}) {
     const TimeEstimate est =
-        time_estimate_for(be, "fp32", ghz(8), calib, {});
+        time_estimate_for(be, "fp32", compiled(ghz(8)), calib, {});
     EXPECT_FALSE(est.supported) << be;
     const TimeEstimate fp64 =
-        time_estimate_for(be, "fp64", ghz(8), calib, {});
+        time_estimate_for(be, "fp64", compiled(ghz(8)), calib, {});
     EXPECT_TRUE(fp64.supported) << be;
   }
 }
 
 TEST(RouteCost, ExactMeasuredPointRescalesItsBackendOnly) {
   Calibration calib;
-  const qiskit::QuantumCircuit qc = ghz(12);
+  const sim::Program program = compiled(ghz(12));
   const TimeEstimate before =
-      time_estimate_for("fused", "fp64", qc, calib, {});
+      time_estimate_for("fused", "fp64", program, calib, {});
   MeasuredPoint p;
   p.circuit = "ghz12";
   p.backend = "fused";
@@ -113,21 +121,21 @@ TEST(RouteCost, ExactMeasuredPointRescalesItsBackendOnly) {
   p.measured_s = before.seconds * 3.0;
   calib.measured.push_back(p);
   const TimeEstimate after =
-      time_estimate_for("fused", "fp64", qc, calib, {});
+      time_estimate_for("fused", "fp64", program, calib, {});
   // The exact hit dominates the similarity-weighted blend: the estimate
   // reproduces the measured/analytic ratio.
   EXPECT_NEAR(after.seconds / before.seconds, 3.0, 1e-9);
   // Other (backend, precision) rows are untouched by the point.
   const TimeEstimate ref_before =
-      time_estimate_for("reference", "fp64", qc, Calibration{}, {});
+      time_estimate_for("reference", "fp64", program, Calibration{}, {});
   const TimeEstimate ref_after =
-      time_estimate_for("reference", "fp64", qc, calib, {});
+      time_estimate_for("reference", "fp64", program, calib, {});
   EXPECT_DOUBLE_EQ(ref_after.seconds, ref_before.seconds);
 }
 
 TEST(RouteCost, DistPricesTheFusionPlanOfItsBaseWidth) {
-  // dist replays the fused engine at the base fusion width, so with no
-  // measured table its fp64 estimate is exactly fused's at that width,
+  // dist is priced as the fused engine at the base fusion width, so with
+  // no measured table its fp64 estimate is exactly fused's at that width,
   // x1.5 for the exchanges.
   dist::register_dist_backend();
   const Calibration calib;
@@ -138,10 +146,11 @@ TEST(RouteCost, DistPricesTheFusionPlanOfItsBaseWidth) {
          {circuits::build_qft(12, {}),
           circuits::generate_random_circuit(
               {.num_qubits = 12, .num_blocks = 120, .seed = 1})}) {
+      const sim::Program program = compiled(qc, base);
       const TimeEstimate dist_est =
-          time_estimate_for("dist", "fp64", qc, calib, base);
+          time_estimate_for("dist", "fp64", program, calib, base);
       const TimeEstimate fused_est =
-          time_estimate_for("fused", "fp64", qc, calib, base);
+          time_estimate_for("fused", "fp64", program, calib, base);
       ASSERT_TRUE(dist_est.supported);
       EXPECT_EQ(dist_est.seconds, 1.5 * fused_est.seconds)
           << qc.name() << " width " << width;
@@ -166,10 +175,11 @@ TEST(RouteCost, HostPricingIsTheDeviceRooflineAtHostRates) {
     for (const unsigned width : {3u, 5u}) {
       sim::BackendOptions base;
       base.fusion.max_width = width;
+      const sim::Program program = compiled(qc, base);
       const TimeEstimate host = time_estimate(
-          qc, extract_features(qc, base.fusion),
+          qc, extract_features(program),
           {"fused", "fp32", sim::Isa::avx2, width}, calib, base,
-          sim::plan_fusion(qc, {.max_width = width}).blocks.size());
+          program.blocks().size());
 
       perfmodel::ClusterConfig device;
       device.devices = 1;
@@ -296,8 +306,8 @@ TEST(RoutePlan, TimeBudgetRejectsSlowCandidates) {
 }
 
 TEST(RoutePlan, PlansEachFusionWidthOnce) {
-  // The base width's plan gives the features and prices that width's
-  // fused candidates; every other width is planned once for all ISAs and
+  // The base width's program gives the features and prices that width's
+  // fused candidates; every other width is compiled once for both
   // precisions.
   obs::Counter& plans = obs::Registry::global().counter("sim.fusion_plans");
   const auto qc = circuits::generate_random_circuit(

@@ -13,7 +13,7 @@
 #include "qgear/qiskit/circuit.hpp"
 #include "qgear/route/cost.hpp"
 #include "qgear/serve/job.hpp"
-#include "qgear/sim/fusion.hpp"
+#include "qgear/sim/program.hpp"
 
 namespace qgear::serve {
 namespace {
@@ -104,9 +104,9 @@ TEST(ServeBackend, UnknownBackendThrowsAtSubmit) {
 }
 
 TEST(ServeBackend, NonFusedJobsArePricedWithoutPlanning) {
-  // Only the fused and dist prices read a fusion plan's blocks, so
-  // admitting a reference, dd or mps job plans nothing, and its price is
-  // the one the plan-taking estimate gives.
+  // Only the fused and dist prices read a program's blocks, so admitting
+  // a reference, dd or mps job plans nothing, and its price is the one a
+  // compiled program gives.
   obs::Counter& plans = obs::Registry::global().counter("sim.fusion_plans");
   SimService::Options opts;
   opts.workers = 1;
@@ -124,8 +124,8 @@ TEST(ServeBackend, NonFusedJobsArePricedWithoutPlanning) {
     sim::BackendOptions bo;
     bo.fusion = opts.fusion;
     const double planned =
-        route::time_estimate_for(backend, "fp64", qc,
-                                 sim::plan_fusion(qc, opts.fusion),
+        route::time_estimate_for(backend, "fp64",
+                                 sim::compile(qc, opts.fusion.max_width),
                                  svc.options().calibration, bo)
             .seconds;
     EXPECT_EQ(result.est_execute_s, planned) << backend;

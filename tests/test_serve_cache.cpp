@@ -10,16 +10,23 @@
 #include <vector>
 
 #include "qgear/qiskit/circuit.hpp"
+#include "qgear/qiskit/transpile.hpp"
+#include "qgear/sim/program.hpp"
 
 namespace qgear::serve {
 namespace {
 
-// Fake artifact with a controllable footprint, so LRU behaviour can be
-// tested without real compiles.
-std::shared_ptr<const CompiledCircuit> fake_artifact(std::uint64_t bytes) {
-  auto cc = std::make_shared<CompiledCircuit>();
-  cc->byte_size = bytes;
-  return cc;
+// Fake artifact: a program that compiled nothing, whose footprint grows
+// with its circuit's `gates`, so LRU behaviour can be tested without
+// real compiles.
+std::shared_ptr<const sim::Program> fake_artifact(std::size_t gates) {
+  auto program = std::make_shared<sim::Program>();
+  for (std::size_t i = 0; i < gates; ++i) program->circuit.x(0);
+  return program;
+}
+
+std::uint64_t footprint(std::size_t gates) {
+  return fake_artifact(gates)->footprint_bytes();
 }
 
 CompilationCache small_cache(std::uint64_t max_bytes) {
@@ -47,7 +54,7 @@ TEST(CompilationCache, MissThenHit) {
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.entries, 1u);
-  EXPECT_EQ(stats.bytes, 100u);
+  EXPECT_EQ(stats.bytes, footprint(100));
   EXPECT_DOUBLE_EQ(stats.hit_rate(), 0.5);
 }
 
@@ -71,15 +78,15 @@ TEST(CompilationCache, DisabledCacheIsPassThrough) {
 }
 
 TEST(CompilationCache, EvictsLeastRecentlyUsedOverBudget) {
-  CompilationCache cache = small_cache(100);
+  CompilationCache cache = small_cache(footprint(60) * 5 / 3);
   const auto compile = [] { return fake_artifact(60); };
   cache.get_or_compile(1, compile);
-  cache.get_or_compile(2, compile);  // 120 bytes > 100: evicts key 1
+  cache.get_or_compile(2, compile);  // two entries > budget: evicts key 1
 
   auto stats = cache.stats();
   EXPECT_EQ(stats.evictions, 1u);
   EXPECT_EQ(stats.entries, 1u);
-  EXPECT_EQ(stats.bytes, 60u);
+  EXPECT_EQ(stats.bytes, footprint(60));
 
   bool hit = false;
   cache.get_or_compile(2, compile, &hit);
@@ -89,7 +96,7 @@ TEST(CompilationCache, EvictsLeastRecentlyUsedOverBudget) {
 }
 
 TEST(CompilationCache, HitRefreshesRecency) {
-  CompilationCache cache = small_cache(130);
+  CompilationCache cache = small_cache(footprint(60) * 13 / 6);
   const auto compile = [] { return fake_artifact(60); };
   cache.get_or_compile(1, compile);
   cache.get_or_compile(2, compile);
@@ -104,7 +111,7 @@ TEST(CompilationCache, HitRefreshesRecency) {
 }
 
 TEST(CompilationCache, NeverEvictsTheNewestEntry) {
-  CompilationCache cache = small_cache(10);
+  CompilationCache cache = small_cache(footprint(500) / 50);
   bool hit = false;
   cache.get_or_compile(1, [] { return fake_artifact(500); }, &hit);
   EXPECT_FALSE(hit);
@@ -136,7 +143,7 @@ TEST(CompilationCache, SingleFlightCompilesOnceUnderContention) {
   };
 
   std::vector<std::thread> threads;
-  std::vector<std::shared_ptr<const CompiledCircuit>> results(8);
+  std::vector<std::shared_ptr<const sim::Program>> results(8);
   for (int i = 0; i < 8; ++i) {
     threads.emplace_back(
         [&, i] { results[i] = cache.get_or_compile(99, slow_compile); });
@@ -155,7 +162,7 @@ TEST(CompilationCache, FailedCompileReleasesKeyForRetry) {
   CompilationCache cache;
   EXPECT_THROW(
       cache.get_or_compile(
-          5, []() -> std::shared_ptr<const CompiledCircuit> {
+          5, []() -> std::shared_ptr<const sim::Program> {
             throw std::runtime_error("transpile exploded");
           }),
       std::runtime_error);
@@ -170,15 +177,15 @@ TEST(CompilationCache, FailedCompileReleasesKeyForRetry) {
 }
 
 TEST(CompileCircuit, ProducesExecutableArtifact) {
+  // What serve caches: the transpiled circuit compiled at its width.
   qiskit::QuantumCircuit qc(3);
   qc.h(0).cx(0, 1).ry(0.25, 2).cx(1, 2);
-  const auto cc = compile_circuit(qc, sim::FusionOptions{});
-  ASSERT_NE(cc, nullptr);
-  EXPECT_EQ(cc->num_qubits, 3u);
-  EXPECT_FALSE(cc->plan.blocks.empty());
-  EXPECT_GT(cc->transpiled.size(), 0u);
-  EXPECT_EQ(cc->byte_size, compiled_footprint_bytes(*cc));
-  EXPECT_GT(cc->byte_size, sizeof(CompiledCircuit));
+  const sim::Program program =
+      sim::compile(qiskit::transpile(qc), sim::FusionOptions{}.max_width);
+  EXPECT_EQ(program.num_qubits, 3u);
+  EXPECT_FALSE(program.blocks().empty());
+  EXPECT_GT(program.circuit.size(), 0u);
+  EXPECT_GT(program.footprint_bytes(), sizeof(sim::Program));
 }
 
 }  // namespace

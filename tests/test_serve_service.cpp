@@ -12,6 +12,7 @@
 #include "qgear/obs/json.hpp"
 #include "qgear/obs/metrics.hpp"
 #include "qgear/qiskit/circuit.hpp"
+#include "qgear/qiskit/transpile.hpp"
 #include "qgear/serve/loadgen.hpp"
 
 namespace qgear::serve {
@@ -89,8 +90,8 @@ TEST(SimService, DuplicateCircuitsServeFromCache) {
 
 TEST(SimService, PlansOncePerDistinctCircuit) {
   // Admission compiles each fused job through the cache and prices it
-  // from that plan; the worker runs the same plan. So 12 jobs over 4
-  // distinct circuits plan fusion 4 times.
+  // from that program; the worker runs the same program. So 12 jobs over
+  // 4 distinct circuits plan fusion 4 times.
   obs::Counter& plans = obs::Registry::global().counter("sim.fusion_plans");
   SimService svc(small_service(2));
   const std::uint64_t before = plans.value();
@@ -141,8 +142,8 @@ TEST(SimService, ExecutionTimeoutIsHonored) {
 
 TEST(SimService, TimeoutStopsExecutionBetweenBlocks) {
   // A timeout that lands mid-plan stops the job between fused blocks:
-  // it times out having run some, not all, of the blocks compile_circuit
-  // plans. A first job, timed out before execution, compiles the circuit
+  // it times out having run some, not all, of the blocks its program
+  // holds. A first job, timed out before execution, compiles the circuit
   // so the second one's timeout spans only queueing and execution.
   SimService svc(small_service(1));
   const qiskit::QuantumCircuit qc = layered_circuit(20, 20);
@@ -157,7 +158,9 @@ TEST(SimService, TimeoutStopsExecutionBetweenBlocks) {
   EXPECT_EQ(result.status, JobStatus::timed_out);
   EXPECT_TRUE(result.cache_hit);
   const std::size_t planned =
-      compile_circuit(qc, svc.options().fusion)->plan.blocks.size();
+      sim::compile(qiskit::transpile(qc), svc.options().fusion.max_width)
+          .blocks()
+          .size();
   EXPECT_GT(result.stats.fused_blocks, 0u);
   EXPECT_LT(result.stats.fused_blocks, planned);
 }

@@ -19,8 +19,7 @@
 //                         [--seed S] [--mps-cutoff C] [--mps-max-bond B]
 //                         [--dd-max-nodes N] [--dist-ranks R] [--fusion W]
 //                         [--retries N] [--retry-backoff-ms MS]
-//                         [--checkpoint-every N] [--report out.json]
-//                         [--trace-out trace.json]
+//                         [--report out.json] [--trace-out trace.json]
 //                         [--metrics-out metrics.json]
 //   qgear_cli run         --in circuits.qh5 --auto [--budget-mb M]
 //                         [--max-error E] [--calibration cal.json]
@@ -105,6 +104,7 @@
 #include "qgear/sim/backend.hpp"
 #include "qgear/sim/isa.hpp"
 #include "qgear/sim/observable.hpp"
+#include "qgear/sim/program.hpp"
 #include "qgear/sim/stats.hpp"
 
 using namespace qgear;
@@ -304,14 +304,12 @@ int cmd_run_backend(const Args& args,
   // Resilience (docs/RESILIENCE.md): transient failures replay the whole
   // circuit up to --retries attempts with exponential backoff; with
   // --auto an OutOfMemoryBudget instead re-plans with the failed backend
-  // excluded (degraded fallback). --checkpoint-every is accepted for flag
-  // parity with qgear_serve and echoed in the report; segment
-  // checkpointing itself is a serve fused-path feature.
+  // excluded (degraded fallback). Segment checkpointing is a serve
+  // fused-path feature (qgear_serve --checkpoint-every).
   const unsigned max_attempts = static_cast<unsigned>(args.u64("retries", 1));
   QGEAR_CHECK_ARG(max_attempts >= 1,
                   "--retries must be >= 1 (total attempts per circuit)");
   const double retry_backoff_ms = args.f64("retry-backoff-ms", 10.0);
-  const std::uint64_t checkpoint_every = args.u64("checkpoint-every", 0);
   if (const auto plan = fault::FaultPlan::from_env()) {
     fault::FaultInjector::global().arm(*plan);
     std::printf("fault injector armed: %s\n", plan->to_string().c_str());
@@ -333,7 +331,6 @@ int cmd_run_backend(const Args& args,
   report.set("shots", shots);
   report.set("seed", seed);
   report.set("retries", max_attempts);
-  report.set("checkpoint_every", checkpoint_every);
   obs::JsonValue circuits_json{obs::JsonValue::Array{}};
 
   obs::Span root(obs::Tracer::global(), "cli.run", "cli");
@@ -768,9 +765,10 @@ int cmd_calibrate(const Args& args) {
       p.qubits = run.qc->num_qubits();
       p.gates = run.qc->size();
       p.measured_s = measure_backend_wall(run.backend, bo, *run.qc, repeats);
+      const sim::Program program =
+          sim::compile(qiskit::transpile(*run.qc), bo.fusion.max_width);
       p.analytic_s = route::time_estimate_for(run.backend, run.precision,
-                                              qiskit::transpile(*run.qc),
-                                              layer1, bo)
+                                              program, layer1, bo)
                          .seconds;
       std::printf("  %-9s %-10s %s: measured %s, analytic %s (x%.2f)\n",
                   p.circuit.c_str(), p.backend.c_str(), p.precision.c_str(),
@@ -898,9 +896,9 @@ int cmd_estimate(const Args& args) {
     const route::Calibration calib = calibration_from_args(args);
     for (std::uint32_t c = 0; c < tensor.num_circuits(); ++c) {
       const auto qc = core::decode_circuit(tensor, c);
-      const auto tqc = qiskit::transpile(qc);
-      // One fusion plan per circuit prices every backend and precision.
-      const sim::FusionPlan plan = sim::plan_fusion(tqc, bo.fusion);
+      // One program per circuit prices every backend and precision.
+      const sim::Program program =
+          sim::compile(qiskit::transpile(qc), bo.fusion.max_width);
       std::printf("[%u] %s (%u qubits, %zu gates):\n", c, qc.name().c_str(),
                   qc.num_qubits(), qc.size());
       std::printf("  %-10s %12s %12s %6s\n", "backend", "memory", "time",
@@ -911,9 +909,9 @@ int cmd_estimate(const Args& args) {
         // memory column is at that precision (the serve admission
         // currency).
         const auto e32 =
-            route::time_estimate_for(nm, "fp32", tqc, plan, calib, bo);
+            route::time_estimate_for(nm, "fp32", program, calib, bo);
         const auto e64 =
-            route::time_estimate_for(nm, "fp64", tqc, plan, calib, bo);
+            route::time_estimate_for(nm, "fp64", program, calib, bo);
         const bool pick32 = e32.supported && e32.error_bound <= max_error &&
                             e32.seconds <= e64.seconds;
         const auto& t = pick32 ? e32 : e64;
@@ -961,17 +959,17 @@ int cmd_estimate(const Args& args) {
     const unsigned r = log2_exact(static_cast<std::uint64_t>(cfg.devices));
     const unsigned num_local = qc.num_qubits() - r;
     const std::size_t amp_b = core::amp_bytes(cfg.precision);
-    const dist::RemapSchedule sched = dist::compile_schedule(
-        dist::plan_remap(qc, num_local), cfg.fusion_width);
+    const sim::Program program =
+        dist::compile(qc, cfg.fusion_width, num_local);
     std::printf("  exchange schedule: %llu slab swap(s) in batches, "
                 "%s ranks/domain\n",
-                static_cast<unsigned long long>(sched.plan.slab_swaps),
+                static_cast<unsigned long long>(program.slab_swaps),
                 topo.ranks_per_domain == 0
                     ? "all"
                     : std::to_string(topo.ranks_per_domain).c_str());
     std::size_t batch_no = 0;
-    for (const dist::ScheduleSegment& seg : sched.segments) {
-      const dist::SwapBatch& batch = seg.batch;
+    for (const sim::Segment& seg : program.segments) {
+      const sim::SwapBatch& batch = seg.batch;
       if (batch.swaps.empty()) continue;
       const std::uint64_t per_round =
           (pow2(num_local) >> batch.swaps.size()) * amp_b;
